@@ -20,17 +20,28 @@ integral is truncated where an analytic tail bound drops below 1e-12 of a
 coarse first pass; integrands assemble in log space so the
 (1 + 4 lam^2 s^2)^n growth never overflows.
 
+F depends on neither lam nor the moment index, and the scan, coarse and
+fine passes bisect the same mapped interval, so they share most of their
+nodes.  Each distinct node is therefore summed once per query: F values
+live in one table keyed on (n, d, rel_tol), held while a query runs and
+freed when the outermost one returns.  A query is one moment set, one
+direct square norm, or one whole lower-bound maximization, whose every
+lam reads the same table.
+
 The lower bound maximizes the ratio |f^2|_n / (|f|_a |f|_n) over lam.
 For integer n the lam-dependence factors out of the hypergeometric
 integral, so the maximization reuses a small set of cached lam-free
-moments.
+moments; every lam-free log-Gamma term of the norms is cached as well.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 from . import specfun
 from .errors import DomainError, NonConvergenceError
@@ -75,29 +86,51 @@ def _is_integer(x: float) -> bool:
     return abs(x - round(x)) <= 1e-12 * max(1.0, abs(x))
 
 
+# The lam-free log-Gamma terms below are cached: a maximization evaluates
+# every norm at each of its lam, with the same (n, a, d).
+
+
+@lru_cache(maxsize=16)
+def _log_norm_const(d: int) -> float:
+    return (d / 2.0) * math.log(math.pi) - specfun.ln_gamma(d / 2.0)
+
+
 def _log_norm_prefactor(lam: float, d: int) -> float:
-    return (
-        (d / 2.0) * math.log(math.pi)
-        - specfun.ln_gamma(d / 2.0)
-        - d * math.log(lam)
+    return _log_norm_const(d) - d * math.log(lam)
+
+
+@lru_cache(maxsize=16)
+def _log_binomials(q: int) -> tuple[float, ...]:
+    """log C(q, ell) for ell = 0..q."""
+    return tuple(
+        specfun.ln_gamma(q + 1.0)
+        - specfun.ln_gamma(ell + 1.0)
+        - specfun.ln_gamma(q - ell + 1.0)
+        for ell in range(q + 1)
+    )
+
+
+@lru_cache(maxsize=16)
+def _beta_sum_terms(q: int, n: float, d: int) -> tuple[float, ...]:
+    """log C(q, ell) + log B(ell + d/2, 2n - d/2 - ell) for ell = 0..q."""
+    return tuple(
+        lb
+        + (
+            specfun.ln_gamma(ell + d / 2.0)
+            + specfun.ln_gamma(2.0 * n - d / 2.0 - ell)
+            - specfun.ln_gamma(2.0 * n)
+        )
+        for ell, lb in enumerate(_log_binomials(q))
     )
 
 
 def _norm_sq_series(lam: float, q: int, n: float, d: int) -> float:
     """Closed Beta sum for |f|_q^2 with integer exponent q."""
-    logs = []
-    for ell in range(q + 1):
-        lb = (
-            specfun.ln_gamma(q + 1.0)
-            - specfun.ln_gamma(ell + 1.0)
-            - specfun.ln_gamma(q - ell + 1.0)
-        )
-        lbeta = (
-            specfun.ln_gamma(ell + d / 2.0)
-            + specfun.ln_gamma(2.0 * n - d / 2.0 - ell)
-            - specfun.ln_gamma(2.0 * n)
-        )
-        logs.append(lb + lbeta + 2.0 * ell * math.log(lam))
+    log_lam = math.log(lam)
+    logs = [
+        term + 2.0 * ell * log_lam
+        for ell, term in enumerate(_beta_sum_terms(q, n, d))
+    ]
     m = max(logs)
     lse = m + math.log(sum(math.exp(x - m) for x in logs))
     return math.exp(_log_norm_prefactor(lam, d) + lse)
@@ -181,6 +214,9 @@ def _hyp_value(n: float, d: int, s: float, rel_tol: float) -> float:
     is accepted once the error bound is below a loose relative tolerance
     or an absolute floor, both immaterial to the integral because the
     truncation point already caps the tail's share at 1e-12.
+
+    The integrands do not call this directly: they read F through
+    _F_TABLE, which calls it once per distinct node s of a query.
     """
     a, b, c = _hyp_params(n, d)
     z = -s * s
@@ -194,6 +230,47 @@ def _hyp_value(n: float, d: int, s: float, rel_tol: float) -> float:
         f"hypergeometric integrand not evaluable at s={s} for (n={n}, d={d}): "
         f"error bound {err:.3g} on value {val:.6g}"
     )
+
+
+class _FTable(threading.local):
+    """F values by quadrature node s, for one (n, d, rel_tol) at a time.
+
+    value() sums F at a node the first time it is asked for and serves it
+    from the table afterwards.  A request under another key first drops
+    every stored value, so at most one table is alive and a looser
+    tolerance never serves a tighter one.  Queries hold the table with
+    held(); when the outermost holder returns, the values are freed, so
+    the table spans exactly one query and the lam that query tries.
+    Callers hold it for every value() they make.  Each thread has its own
+    table, so concurrent queries never read each other's values.
+    """
+
+    def __init__(self) -> None:
+        self._key: tuple[float, int, float] | None = None
+        self._values: dict[float, float] = {}
+        self._holders = 0
+
+    def value(self, n: float, d: int, s: float, rel_tol: float) -> float:
+        key = (n, d, rel_tol)
+        if key != self._key:
+            self._key, self._values = key, {}
+        fval = self._values.get(s)
+        if fval is None:
+            fval = self._values[s] = _hyp_value(n, d, s, rel_tol)
+        return fval
+
+    @contextmanager
+    def held(self) -> Iterator[None]:
+        self._holders += 1
+        try:
+            yield
+        finally:
+            self._holders -= 1
+            if not self._holders:
+                self._key, self._values = None, {}
+
+
+_F_TABLE = _FTable()
 
 
 def _square_tail_cutoff(n: float, d: int, log_growth: float, log_coarse: float) -> float:
@@ -228,11 +305,12 @@ def bessel_square_norm(
         return _square_norm_from_moments(lam, int(round(n)), d, rel_tol)
 
     lam2_4 = 4.0 * lam * lam
+    f_tol = rel_tol * 1e-2
 
     def log_f(s: float) -> float:
         if s <= 0.0:
             return -math.inf
-        fval = _hyp_value(n, d, s, rel_tol * 1e-2)
+        fval = _F_TABLE.value(n, d, s, f_tol)
         if fval <= 0.0:
             return -math.inf
         return (
@@ -241,54 +319,75 @@ def bessel_square_norm(
             + 2.0 * math.log(fval)
         )
 
-    scan = [10.0 ** (-3 + 5 * i / 40.0) for i in range(41)]
-    lmax = max(log_f(s) for s in scan)
-    coarse = integrate_semiline(
-        lambda s: math.exp(log_f(s) - lmax), rel_tol=1e-6, upper=50.0
-    )
-    cutoff = _square_tail_cutoff(
-        n, d, 2.0 * n * math.log(2.0 * lam), lmax + math.log(max(coarse.value, 1e-300))
-    )
-    res = integrate_semiline(
-        lambda s: math.exp(log_f(s) - lmax), rel_tol=rel_tol, upper=cutoff
-    )
+    with _F_TABLE.held():
+        scan = [10.0 ** (-3 + 5 * i / 40.0) for i in range(41)]
+        lmax = max(log_f(s) for s in scan)
+        coarse = integrate_semiline(
+            lambda s: math.exp(log_f(s) - lmax), rel_tol=1e-6, upper=50.0
+        )
+        cutoff = _square_tail_cutoff(
+            n, d, 2.0 * n * math.log(2.0 * lam), lmax + math.log(max(coarse.value, 1e-300))
+        )
+        res = integrate_semiline(
+            lambda s: math.exp(log_f(s) - lmax), rel_tol=rel_tol, upper=cutoff
+        )
     if not res.converged:
         raise NonConvergenceError(
             f"square-norm quadrature did not converge (lam={lam}, n={n}, d={d})"
         )
-    log_pref = (
-        math.log(2.0)
-        + _log_norm_prefactor(lam, d)
-        + 2.0 * (specfun.ln_gamma(2.0 * n - d / 2.0) - specfun.ln_gamma(2.0 * n))
-    )
-    return math.exp(log_pref + lmax + math.log(res.value))
+    return math.exp(_log_square_prefactor(lam, n, d) + lmax + math.log(res.value))
+
+
+@lru_cache(maxsize=16)
+def _log_square_const(n: float, d: int) -> float:
+    return 2.0 * (specfun.ln_gamma(2.0 * n - d / 2.0) - specfun.ln_gamma(2.0 * n))
+
+
+def _log_square_prefactor(lam: float, n: float, d: int) -> float:
+    """log of 2 pi^(d/2) Gamma(2n - d/2)^2 / (Gamma(d/2) lam^d Gamma(2n)^2)."""
+    return math.log(2.0) + _log_norm_prefactor(lam, d) + _log_square_const(n, d)
 
 
 @lru_cache(maxsize=64)
 def _square_moments(n: int, d: int, rel_tol: float) -> tuple[float, ...]:
-    """Lam-free moments M_j = int s^(d-1+2j) F(2n-d/2, n, n+1/2; -s^2)^2 ds."""
-    log_c2 = 2.0 * _log_cf_asymptotic(float(n), d)
+    """Lam-free moments M_j = int s^(d-1+2j) F(2n-d/2, n, n+1/2; -s^2)^2 ds.
+
+    The coarse and fine passes of the n + 1 moment integrals bisect
+    mostly the same mapped intervals, so they read F from one held
+    _F_TABLE: each distinct node is summed once per moment set, not once
+    per moment and pass.
+    Raises NonConvergenceError where s^(d-1+2j) leaves the double range.
+    """
+    nf, f_tol = float(n), rel_tol * 1e-2
+    log_c2 = 2.0 * _log_cf_asymptotic(nf, d)
     out = []
-    for j in range(n + 1):
-        power = d - 1.0 + 2.0 * j
+    with _F_TABLE.held():
+        for j in range(n + 1):
+            power = d - 1.0 + 2.0 * j
 
-        def f(s: float, _p: float = power) -> float:
-            if s <= 0.0:
-                return 0.0
-            fv = _hyp_value(float(n), d, s, rel_tol * 1e-2)
-            return s**_p * fv * fv
+            def f(s: float, _p: float = power, _j: int = j) -> float:
+                if s <= 0.0:
+                    return 0.0
+                fv = _F_TABLE.value(nf, d, s, f_tol)
+                try:
+                    return s**_p * fv * fv
+                except OverflowError:
+                    raise NonConvergenceError(
+                        f"moment integrand s^{_p:g} leaves the double range at "
+                        f"s={s:.6g} (n={n}, d={d}, j={_j})"
+                    ) from None
 
-        coarse = integrate_semiline(f, rel_tol=1e-6, upper=50.0)
-        decay = 4.0 * n - d - 2.0 * j  # tail exponent of s^(power) * C^2 s^(-4n)
-        log_target = math.log(_TAIL_FRACTION) + math.log(max(coarse.value, 1e-300))
-        log_s = (log_target + math.log(decay) - math.log(2.0) - log_c2) / (-decay)
-        cutoff = min(max(math.exp(log_s), 50.0), 1e13)
-        res = integrate_semiline(f, rel_tol=rel_tol, upper=cutoff)
-        if not res.converged:
-            raise NonConvergenceError(
-                f"moment quadrature did not converge (n={n}, d={d}, j={j})"
-            )
-        out.append(res.value)
+            coarse = integrate_semiline(f, rel_tol=1e-6, upper=50.0)
+            decay = 4.0 * n - d - 2.0 * j  # tail exponent of s^(power) * C^2 s^(-4n)
+            log_target = math.log(_TAIL_FRACTION) + math.log(max(coarse.value, 1e-300))
+            log_s = (log_target + math.log(decay) - math.log(2.0) - log_c2) / (-decay)
+            cutoff = min(max(math.exp(log_s), 50.0), 1e13)
+            res = integrate_semiline(f, rel_tol=rel_tol, upper=cutoff)
+            if not res.converged:
+                raise NonConvergenceError(
+                    f"moment quadrature did not converge (n={n}, d={d}, j={j})"
+                )
+            out.append(res.value)
     return tuple(out)
 
 
@@ -296,21 +395,12 @@ def _square_norm_from_moments(lam: float, n: int, d: int, rel_tol: float) -> flo
     moments = _square_moments(n, d, rel_tol)
     log_lam = math.log(4.0 * lam * lam)
     logs = [
-        specfun.ln_gamma(n + 1.0)
-        - specfun.ln_gamma(j + 1.0)
-        - specfun.ln_gamma(n - j + 1.0)
-        + j * log_lam
-        + math.log(moments[j])
-        for j in range(n + 1)
+        lb + j * log_lam + math.log(moments[j])
+        for j, lb in enumerate(_log_binomials(n))
     ]
     m = max(logs)
     lse = m + math.log(sum(math.exp(x - m) for x in logs))
-    log_pref = (
-        math.log(2.0)
-        + _log_norm_prefactor(lam, d)
-        + 2.0 * (specfun.ln_gamma(2.0 * n - d / 2.0) - specfun.ln_gamma(2.0 * n))
-    )
-    return math.exp(log_pref + lse)
+    return math.exp(_log_square_prefactor(lam, n, d) + lse)
 
 
 def square_norm_closed_form(trial: BesselTrial) -> float:
@@ -383,11 +473,12 @@ def bessel_lower_detail(
     """(bound, lam_star, warnings): supremum over lam of the trial ratio."""
     if not (n >= a and a > d / 2.0):
         raise DomainError(f"bessel bound needs n >= a > d/2, got (n={n}, a={a}, d={d})")
-    res = maximize_scalar(
-        lambda lam: bessel_ratio(lam, n, a, d, rel_tol=max(rel_tol * 1e-1, 1e-11)),
-        bracket,
-        rel_tol=rel_tol,
-    )
+    with _F_TABLE.held():  # every lam reads the F values of the ones before it
+        res = maximize_scalar(
+            lambda lam: bessel_ratio(lam, n, a, d, rel_tol=max(rel_tol * 1e-1, 1e-11)),
+            bracket,
+            rel_tol=rel_tol,
+        )
     return res.max_value, res.argmax, res.warnings
 
 

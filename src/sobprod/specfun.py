@@ -427,11 +427,20 @@ def hyp2f1_with_error(
         # assemble prefactor in log space; (1-z)^(-kept) alone can under/overflow
         ln_pref = -kept * math.log1p(-z)
         if sval != 0.0 and math.isfinite(sval):
-            val = math.copysign(math.exp(ln_pref + math.log(abs(sval))), sval)
+            try:
+                val = math.copysign(math.exp(ln_pref + math.log(abs(sval))), sval)
+            except OverflowError:
+                raise NonConvergenceError(
+                    f"hyp2f1 value leaves the double range for "
+                    f"(a,b,c,z)=({a},{b},{c},{z}): log|F| ~ {ln_pref + math.log(abs(sval)):.6g}"
+                ) from None
         else:
             val = 0.0
         if err != 0.0 and math.isfinite(err):
-            err = math.exp(ln_pref + math.log(err))
+            try:
+                err = math.exp(ln_pref + math.log(err))
+            except OverflowError:
+                err = math.inf  # a bound beyond the double range meets no rel_tol
         if err <= rel_tol * max(abs(val), 1e-300):
             return val, err
         if best is None or err < best[1]:

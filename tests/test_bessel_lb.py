@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from sobprod import specfun
+from sobprod import bessel_lb, specfun
 from sobprod.bessel_lb import (
     BesselTrial,
     bessel_lower,
@@ -217,3 +217,62 @@ class TestRatioAndLower:
         bound, lam_star = bessel_lower(20.0, 2.0, 3)
         assert lam_star > 5.0
         assert bound == pytest.approx(24.268, rel=1e-2)
+
+
+@pytest.fixture
+def hyp_calls(monkeypatch):
+    """(n, d, s, rel_tol) of every hypergeometric evaluation the F table makes."""
+    calls = []
+    real = bessel_lb._hyp_value
+
+    def counting(n, d, s, rel_tol):
+        calls.append((n, d, s, rel_tol))
+        return real(n, d, s, rel_tol)
+
+    monkeypatch.setattr(bessel_lb, "_hyp_value", counting)
+    return calls
+
+
+class TestFTable:
+    def test_moment_set_sums_each_node_once(self, hyp_calls, monkeypatch):
+        evaluations = []
+        real_integrate = bessel_lb.integrate_semiline
+
+        def counting_integrate(*args, **kwargs):
+            res = real_integrate(*args, **kwargs)
+            evaluations.append(res.evaluations)
+            return res
+
+        monkeypatch.setattr(bessel_lb, "integrate_semiline", counting_integrate)
+        bessel_lb._square_moments.cache_clear()
+        bessel_lb._square_moments(12, 2, 1e-11)
+        nodes = [s for _, _, s, _ in hyp_calls]
+        assert len(nodes) == len(set(nodes))
+        # 13 moments, a coarse and a fine pass each, over mostly shared nodes
+        assert len(evaluations) == 26
+        assert sum(evaluations) > 10 * len(nodes)
+
+    def test_ratio_same_cold_and_warm(self, hyp_calls):
+        lam, n, a, d = 1.9, 1.5, 1.2, 1
+        cold = bessel_ratio(lam, n, a, d)
+        cold_calls = len(hyp_calls)
+        with bessel_lb._F_TABLE.held():  # as in one maximization over lam
+            bessel_ratio(1.3, n, a, d)
+            bessel_ratio(2.4, n, a, d)
+            del hyp_calls[:]
+            warm = bessel_ratio(lam, n, a, d)
+        assert warm == cold
+        assert len(hyp_calls) < cold_calls  # nodes of the other lam were reused
+
+    @pytest.mark.parametrize("first,second", [(1e-9, 1e-7), (1e-7, 1e-9)])
+    def test_table_not_reused_across_tolerances(self, hyp_calls, first, second):
+        trial = BesselTrial(1.9, 1.5, 1)
+        cold = bessel_square_norm(trial, rel_tol=second)
+        cold_calls = len(hyp_calls)
+        with bessel_lb._F_TABLE.held():
+            bessel_square_norm(trial, rel_tol=first)
+            del hyp_calls[:]
+            again = bessel_square_norm(trial, rel_tol=second)
+        assert again == cold
+        assert len(hyp_calls) == cold_calls
+        assert {tol for *_, tol in hyp_calls} == {second * 1e-2}

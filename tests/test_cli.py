@@ -1,9 +1,13 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import sobprod
 from sobprod.cli import main
 
 
@@ -56,6 +60,25 @@ class TestBound:
         with pytest.raises(SystemExit) as exc:
             run_cli("bound", "--n", "oops", "--a", "1", "--d", "1")
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("n", ["93", "120", "150"])
+    def test_moment_overflow_leaves_fourier_bound(self, n):
+        # s^(d-1+2j) of the moment integrand leaves the double range from
+        # n = 93 on; the Bessel bound is then unavailable, not a crash
+        src = os.path.dirname(os.path.dirname(sobprod.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "sobprod", "bound", "--n", n, "--a", "2", "--d", "2",
+             "--format", "json"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        rec = json.loads(proc.stdout)
+        assert rec["lower_bessel"] is None
+        assert "double range" in rec["metadata"]["bessel_unavailable"]
+        assert rec["method_of_best_lower"] == "fourier"
 
 
 class TestTable:

@@ -153,6 +153,11 @@ class TestHyp2f1:
         with pytest.raises(NonConvergenceError):
             specfun.hyp2f1(1.3, 1.0, 1.5, -1e12, rel_tol=1e-12, max_terms=2000)
 
+    def test_value_beyond_double_range_is_flagged(self):
+        # |F| ~ exp(18650): the Pfaff prefactor times the branch sum overflows
+        with pytest.raises(NonConvergenceError, match="double range"):
+            specfun.hyp2f1_with_error(-40.5, -0.5, 0.1, -1e200, 1e-11, 2000)
+
     @pytest.mark.parametrize(
         "a,b,c,z",
         [
