@@ -30,7 +30,7 @@ print(f"bound K(1,1,1) >= {bound:.6f}")
 
 print("\nnorm machinery at lam = 1.2, (n, d) = (1, 1):")
 t = BesselTrial(1.2, 1.0, 1)
-print(f"  |f|_1^2 quadrature  = {bessel_norm_n(t, method='quadrature'):.12f}")
+print(f"  |f|_1^2 Beta sum    = {bessel_norm_n(t):.12f}")
 print(f"  |f|_1^2 closed      = {math.pi / 2 * (1.2 + 1 / 1.2):.12f}")
 print(f"  |f^2|_1^2 general   = {bessel_square_norm(t):.12f}")
 print(f"  |f^2|_1^2 closed    = {math.pi**2 / 4 * (2.4 + 1 / 2.4):.12f}")

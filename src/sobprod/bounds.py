@@ -51,8 +51,8 @@ def classify_regime(n: float, a: float, d: int) -> Regime:
     """Low iff 0 <= n <= d/2 < a; High iff n >= a > d/2; else RegimeError."""
     if d < 1 or int(d) != d:
         raise DomainError(f"dimension must be a positive integer, got {d}")
-    if math.isnan(n) or math.isnan(a):
-        raise DomainError(f"n and a must be numbers, got n={n}, a={a}")
+    if not (math.isfinite(n) and math.isfinite(a)):
+        raise DomainError(f"n and a must be finite numbers, got n={n}, a={a}")
     half_d = d / 2.0
     if 0.0 <= n <= half_d < a:
         return Regime.LOW
@@ -134,14 +134,6 @@ def _xlogx(s: float) -> float:
     return 0.0 if s == 0.0 else s * math.log(s)
 
 
-def _log_binom(m: int, j: int) -> float:
-    return (
-        specfun.ln_gamma(m + 1.0)
-        - specfun.ln_gamma(j + 1.0)
-        - specfun.ln_gamma(m - j + 1.0)
-    )
-
-
 def lattice_coeffs(n: float) -> list[LatticeCoefficient]:
     """Lattice points j n/n+ (j = 0..n+) with binomials C(n+, j).
 
@@ -179,13 +171,10 @@ def log_upper_bound(n: float, a: float, d: int) -> float:
     """log of the upper bound; always finite, safe for huge n."""
     classify_regime(n, a, d)
     pts = lattice_coeffs(n)
-    npl = _n_plus(n)
-    logs = [
-        _log_binom(npl, j) + math.log(e_product_coeff(n, p.ell, a, d))
-        for j, p in enumerate(pts)
-    ]
-    m = max(logs)
-    lse = m + math.log(sum(math.exp(x - m) for x in logs))
+    log_binom = specfun.log_binomials(_n_plus(n))
+    lse = specfun.log_sum_exp(
+        [log_binom[j] + math.log(e_product_coeff(n, p.ell, a, d)) for j, p in enumerate(pts)]
+    )
     return _log_s_const(a, d) + lse
 
 
@@ -227,7 +216,7 @@ def u_coeff(n: float, a: float, d: int) -> float:
             f"u_coeff: inner binomial index {k} outside [0, {npl}] "
             f"(non-integer n made a_n too large)"
         )
-    lg = _log_binom(npl, k) - (npl - an) * math.log(2.0)
+    lg = specfun.log_binomials(npl)[k] - (npl - an) * math.log(2.0)
     return 1.0 + (math.exp(_LN_16_27 * (-d / 4.0)) - 1.0) * math.exp(lg)
 
 

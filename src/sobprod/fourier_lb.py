@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bounds import Regime, classify_regime
+from .bounds import Regime, _xlogx, classify_regime
 from .errors import DomainError, NonConvergenceError
 from .numerics import integrate_semiline
 
@@ -52,22 +52,22 @@ class GaussianTrial:
             )
 
 
-def _xlogx(s: float) -> float:
-    return 0.0 if s == 0.0 else s * math.log(s)
-
-
 def r_const(a: float, d: int) -> float:
     """R(a, d) = e^(-a/2) (2 pi)^(-d/4) sqrt(E(d/2) E(a - d/2))."""
     if d < 1 or int(d) != d:
         raise DomainError(f"dimension must be a positive integer, got {d}")
     if not a > d / 2.0:
         raise DomainError(f"r_const requires a > d/2, got a={a}, d={d}")
-    lg = (
+    return math.exp(_log_r_const(a, d))
+
+
+def _log_r_const(a: float, d: int) -> float:
+    """log R(a, d); finite where R itself leaves the double range (large a)."""
+    return (
         -a / 2.0
         - (d / 4.0) * math.log(2.0 * math.pi)
         + 0.5 * (_xlogx(d / 2.0) + _xlogx(a - d / 2.0))
     )
-    return math.exp(lg)
 
 
 def _require_fourier_regime(n: float, a: float, d: int) -> Regime:
@@ -104,7 +104,7 @@ def fourier_lower(n: float, a: float, d: int) -> float:
     """Closed-form lower bound R v 2^n / (n + a)^(a/2 + d/4) (log-safe)."""
     _require_fourier_regime(n, a, d)
     lg = (
-        math.log(r_const(a, d))
+        _log_r_const(a, d)
         + math.log(v_coeff(n, a, d))
         + n * math.log(2.0)
         - (a / 2.0 + d / 4.0) * math.log(n + a)
@@ -120,7 +120,7 @@ def fourier_lower_weak(n: float, a: float, d: int) -> float:
             f"got (n={n}, a={a}, d={d})"
         )
     lg = (
-        math.log(r_const(a, d))
+        _log_r_const(a, d)
         + (d / 4.0) * math.log(1.0 - d / (2.0 * a))
         + n * math.log(2.0)
         - (a / 2.0 + d / 4.0) * math.log(n + a)

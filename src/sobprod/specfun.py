@@ -11,6 +11,8 @@ independent references.
 Contents:
   ln_gamma            log Gamma via a Lanczos approximation (g=7, 9 terms)
   beta                Beta function in log space
+  log_binomials       log C(m, j) for j = 0..m, cached per m
+  log_sum_exp         log of a sum of exponentials, overflow-safe
   e_power             E(s) = s^s with E(0) = 1
   erf                 error function (series + Lentz continued fraction)
   hyp2f1              Gauss 2F1 for z < 1, negative z through the Pfaff map,
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import decimal
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,6 +35,8 @@ from .errors import DomainError, NonConvergenceError
 __all__ = [
     "ln_gamma",
     "beta",
+    "log_binomials",
+    "log_sum_exp",
     "e_power",
     "erf",
     "hyp2f1",
@@ -81,6 +86,21 @@ def beta(z: float, w: float) -> float:
     if not (z > 0.0 and w > 0.0):
         raise DomainError(f"beta requires z, w > 0, got ({z}, {w})")
     return math.exp(ln_gamma(z) + ln_gamma(w) - ln_gamma(z + w))
+
+
+@lru_cache(maxsize=16)
+def log_binomials(m: int) -> tuple[float, ...]:
+    """log C(m, j) for j = 0..m."""
+    return tuple(
+        ln_gamma(m + 1.0) - ln_gamma(j + 1.0) - ln_gamma(m - j + 1.0)
+        for j in range(m + 1)
+    )
+
+
+def log_sum_exp(logs: list[float]) -> float:
+    """log sum exp(x) over logs, shifted by the largest so no term overflows."""
+    m = max(logs)
+    return m + math.log(sum(math.exp(x - m) for x in logs))
 
 
 def e_power(s: float) -> float:

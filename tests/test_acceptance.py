@@ -37,7 +37,7 @@ from sobprod.oracle import (
     sobolev_norm,
 )
 
-from conftest import assert_rel, rel_err
+from conftest import assert_rel, mp_bessel_norm_sq, rel_err
 
 PI = math.pi
 
@@ -119,7 +119,7 @@ def test_criterion_3_bessel_maximizers():
             assert dt < 10.0, f"maximizer ({n},{a},{d}) took {dt:.2f}s"
 
 
-def test_criterion_4_closed_form_vs_quadrature():
+def test_criterion_4_closed_form_vs_quadrature(mp):
     with criterion(4, "closed forms vs quadrature"):
         for n in (1, 2, 3):
             for a in (1, 2):
@@ -127,9 +127,8 @@ def test_criterion_4_closed_form_vs_quadrature():
                     if not (n >= a and a > d / 2.0 and n > d / 2.0):
                         continue
                     for lam in (0.5, 1.0, 2.0):
-                        t = BesselTrial(lam, float(n), d)
-                        s = bessel_norm_a(t, float(a), method="series")
-                        q = bessel_norm_a(t, float(a), method="quadrature")
+                        s = bessel_norm_a(BesselTrial(lam, float(n), d), float(a))
+                        q = mp_bessel_norm_sq(mp, lam, a, n, d)
                         assert rel_err(s, q) <= 1e-8, (n, a, d, lam)
         trial = BesselTrial(1.35, 2.0, 2)
         general = bessel_square_norm(trial, method="quadrature")

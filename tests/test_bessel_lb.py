@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -14,9 +15,9 @@ from sobprod.bessel_lb import (
     square_norm_closed_form,
 )
 from sobprod.bounds import upper_bound
-from sobprod.errors import DomainError
+from sobprod.errors import DomainError, NonConvergenceError
 
-from conftest import assert_rel
+from conftest import assert_rel, mp_bessel_norm_sq
 
 PI = math.pi
 
@@ -81,24 +82,38 @@ class TestNorms:
             (3, 2, 3),
         ],
     )
-    def test_series_vs_quadrature_matrix(self, n, a, d, lam):
-        t = BesselTrial(lam, float(n), d)
-        s = bessel_norm_a(t, float(a), method="series")
-        q = bessel_norm_a(t, float(a), method="quadrature")
-        assert_rel(s, q, 1e-8, f"series/quadrature ({n},{a},{d},{lam})")
+    def test_series_vs_quadrature_matrix(self, mp, n, a, d, lam):
+        # the integer-exponent Beta sum against mpmath quadrature of the
+        # defining radial integral
+        got = bessel_norm_a(BesselTrial(lam, float(n), d), float(a))
+        ref = mp_bessel_norm_sq(mp, lam, a, n, d)
+        assert_rel(got, ref, 1e-12, f"series/quadrature ({n},{a},{d},{lam})")
 
-    def test_noninteger_self_consistency(self):
-        # quadrature result is stable under a tighter tolerance re-run
-        t = BesselTrial(0.7, 1.6, 1)
-        v1 = bessel_norm_n(t, method="quadrature", rel_tol=1e-8)
-        v2 = bessel_norm_n(t, method="quadrature", rel_tol=1e-12)
-        assert_rel(v1, v2, 1e-8)
+    def test_noninteger_n_against_mpmath(self, mp):
+        got = bessel_norm_n(BesselTrial(0.7, 1.6, 1))
+        assert_rel(got, mp_bessel_norm_sq(mp, 0.7, 1.6, 1.6, 1), 1e-12)
 
-    def test_noninteger_exponent_self_consistency(self):
-        t = BesselTrial(1.2, 3.0, 2)
-        v1 = bessel_norm_a(t, 2.4, method="quadrature", rel_tol=1e-8)
-        v2 = bessel_norm_a(t, 2.4, method="quadrature", rel_tol=1e-12)
-        assert_rel(v1, v2, 1e-8)
+    def test_noninteger_exponent_against_mpmath(self, mp):
+        got = bessel_norm_a(BesselTrial(1.2, 3.0, 2), 2.4)
+        assert_rel(got, mp_bessel_norm_sq(mp, 1.2, 2.4, 3.0, 2), 1e-12)
+
+    def test_noninteger_exponent_box_against_mpmath(self, mp):
+        # the Euler form at non-integer q over the rescale factors a
+        # maximization reaches: lam log-uniform in [0.05, 20]
+        rng = random.Random(20261018)
+        for _ in range(200):
+            d = rng.choice((1, 2, 3))
+            n = rng.uniform(d / 2.0, 25.0)
+            q = rng.uniform(d / 2.0, n)
+            lam = math.exp(rng.uniform(math.log(0.05), math.log(20.0)))
+            got = bessel_norm_a(BesselTrial(lam, n, d), q)
+            assert_rel(got, mp_bessel_norm_sq(mp, lam, q, n, d), 1e-11, f"{(lam, q, n, d)}")
+
+    def test_far_rescale_factor_is_not_certified(self):
+        # the Pfaff series of the Euler form needs O(lam^2) terms; past its
+        # term limit the norm raises instead of returning an uncertified value
+        with pytest.raises(NonConvergenceError, match="not certified"):
+            bessel_norm_n(BesselTrial(1e4, 7.3, 2))
 
     def test_unrescaled_against_direct_k_space_quadrature(self):
         # lam = 1: |f|_n^2 = (2 pi^(d/2)/Gamma(d/2)) int r^(d-1) (1+r^2)^(-n) dr
@@ -110,7 +125,7 @@ class TestNorms:
             )
             assert direct.converged
             pref = 2.0 * PI ** (d / 2.0) / math.exp(specfun.ln_gamma(d / 2.0))
-            got = bessel_norm_n(BesselTrial(1.0, n, d), method="quadrature")
+            got = bessel_norm_n(BesselTrial(1.0, n, d))
             assert_rel(got, pref * direct.value, 1e-10, f"k-space check (n={n}, d={d})")
 
 

@@ -61,6 +61,19 @@ class TestBound:
             run_cli("bound", "--n", "oops", "--a", "1", "--d", "1")
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "n,a", [("inf", "1"), ("-inf", "1"), ("3", "inf"), ("inf", "inf")]
+    )
+    def test_non_finite_input_is_usage_error(self, n, a):
+        code, _ = run_cli("bound", f"--n={n}", f"--a={a}", "--d", "1")
+        assert code == 2
+
+    def test_large_a_fourier_bound_finite(self):
+        # R(a, d) alone leaves the double range at a = 1e3; the bound does not
+        code, recs = run_json("bound", "--n", "0.5", "--a", "1e3", "--d", "1")
+        assert code == 0
+        assert math.isfinite(recs[0]["lower_fourier"]) and recs[0]["lower_fourier"] > 0.0
+
     @pytest.mark.parametrize("n", ["93", "120", "150"])
     def test_moment_overflow_leaves_fourier_bound(self, n):
         # s^(d-1+2j) of the moment integrand leaves the double range from

@@ -4,7 +4,10 @@ The rows cover the paper table, the README sweep, non-integer-a sweeps at
 d = 1, 2, 3, non-integer-n bounds and oracle validations at d = 1, 2, 3.
 Every float in every record must match the stored value to 1e-12
 relative (1e-10 for non-integer n, whose norms come from adaptive
-quadratures); every other value must match exactly.
+quadratures); every other value must match exactly.  The one exception is
+the maximizing rescale factor bessel_lambda_star: at a smooth maximum, a
+relative change e of the objective moves the argmax by about sqrt(e), so
+it is pinned to the square root of the row's tolerance.
 
 Re-record after a deliberate change of outputs with
 
@@ -61,7 +64,8 @@ def assert_same(got, ref, tol: float, path: str) -> None:
     elif isinstance(ref, dict):
         assert isinstance(got, dict) and sorted(got) == sorted(ref), f"{path}: keys differ"
         for key in ref:
-            assert_same(got[key], ref[key], tol, f"{path}.{key}")
+            key_tol = math.sqrt(tol) if key == "bessel_lambda_star" else tol
+            assert_same(got[key], ref[key], key_tol, f"{path}.{key}")
     elif isinstance(ref, list):
         assert isinstance(got, list) and len(got) == len(ref), f"{path}: lengths differ"
         for i, (g, r) in enumerate(zip(got, ref)):
