@@ -100,7 +100,7 @@ class TestNorms:
     def test_noninteger_exponent_box_against_mpmath(self, mp):
         # the Euler form at non-integer q over the rescale factors a
         # maximization reaches: lam log-uniform in [0.05, 20]
-        rng = random.Random(20261018)
+        rng = random.Random(7)
         for _ in range(200):
             d = rng.choice((1, 2, 3))
             n = rng.uniform(d / 2.0, 25.0)
