@@ -9,6 +9,15 @@ Conventions: K(n, a, d) is the smallest constant with
 
 where |.|_m is the Sobolev H^m norm.  Queries outside both regimes raise
 RegimeError; nothing is proven there.
+
+The upper bound is S(a, d) times a binomial sum over the N + 1 lattice
+points j n/N (N = ceil(n)).  In the high regime every point of
+[a/2, n - a/2] carries the plateau coefficient P = (16/27)^(d/4), the
+minimum of E, and the points above n - a/2 mirror those below a/2, so
+
+    sum_j C(N, j) c_j = P 2^N + 2 sum_{j n/N < a/2} C(N, j) (E(j n/N) - P)
+
+with non-negative corrections: O(a) terms in log space, whatever n is.
 """
 
 from __future__ import annotations
@@ -168,28 +177,46 @@ def e_product_coeff(n: float, ell: float, a: float, d: int) -> float:
 
 
 def log_upper_bound(n: float, a: float, d: int) -> float:
-    """log of the upper bound; always finite, safe for huge n."""
-    classify_regime(n, a, d)
-    pts = lattice_coeffs(n)
-    log_binom = specfun.log_binomials(_n_plus(n))
-    lse = specfun.log_sum_exp(
-        [log_binom[j] + math.log(e_product_coeff(n, p.ell, a, d)) for j, p in enumerate(pts)]
+    """log of the upper bound S(a, d) sum_j C(N, j) c_j (N = n+); finite
+    for every admissible (n, a, d).
+
+    High regime: the plateau form of the module docstring,
+
+        log U = log S + N log 2 + log P + log1p(2 acc / P),
+
+    where acc sums C(N, j) 2^-N (E(j n/N) - P) >= 0 over the lattice points
+    below a/2: at most min(a, 5 sqrt(N)) + 2 terms, so the cost does not
+    grow with n.  The low regime has at most ceil(d/2) + 1 lattice points,
+    summed directly in log space.
+    """
+    if classify_regime(n, a, d) is Regime.LOW:
+        return _log_s_const(a, d) + specfun.log_sum_exp(
+            [math.log(p.coeff) + math.log(e_product_coeff(n, p.ell, a, d))
+             for p in lattice_coeffs(n)]
+        )
+    npl = _n_plus(n)
+    step = n / npl
+    half_a = a / 2.0
+    log_plateau = _LN_16_27 * d / 4.0
+    plateau = math.exp(log_plateau)
+    log_2n = npl * math.log(2.0)
+    # the points more than 5 sqrt(N) below N/2 carry binomial mass below
+    # exp(-50) together (Hoeffding), far under the rounding of P; skipping
+    # them also keeps ln_gamma(N + 1) out of the sum when it would overflow
+    j_lo = max(0, math.ceil(npl / 2.0 - 5.0 * math.sqrt(npl)))
+    j_hi = math.ceil(half_a * (npl / n)) + 1
+    acc = math.fsum(
+        math.exp(specfun.log_binomial(npl, j) - log_2n) * (e_const(j * step, a, d) - plateau)
+        for j in range(j_lo, j_hi)
+        if j * step < half_a
     )
-    return _log_s_const(a, d) + lse
+    return _log_s_const(a, d) + log_2n + log_plateau + math.log1p(2.0 * acc / plateau)
 
 
 def upper_bound(n: float, a: float, d: int) -> float:
-    """Upper bound S(a,d) * sum over the lattice of binom+ * E-coefficient.
-
-    Computed directly for n+ <= 50 and in log space (log-sum-exp) beyond,
-    where 2^(n+) would lose accuracy or overflow.
-    """
-    classify_regime(n, a, d)
-    if _n_plus(n) <= 50:
-        acc = sum(
-            p.coeff * e_product_coeff(n, p.ell, a, d) for p in lattice_coeffs(n)
-        )
-        return s_const(a, d) * acc
+    """Upper bound S(a,d) * sum over the lattice of binom+ * E-coefficient:
+    exp(log_upper_bound), so O(a) work in the high regime, and inf where
+    the bound leaves the double range."""
     lg = log_upper_bound(n, a, d)
     return math.exp(lg) if lg < 709.0 else math.inf
 
@@ -216,7 +243,7 @@ def u_coeff(n: float, a: float, d: int) -> float:
             f"u_coeff: inner binomial index {k} outside [0, {npl}] "
             f"(non-integer n made a_n too large)"
         )
-    lg = specfun.log_binomials(npl)[k] - (npl - an) * math.log(2.0)
+    lg = specfun.log_binomial(npl, k) - (npl - an) * math.log(2.0)
     return 1.0 + (math.exp(_LN_16_27 * (-d / 4.0)) - 1.0) * math.exp(lg)
 
 
@@ -294,7 +321,8 @@ def best_bounds(query: BoundQuery, options: BoundOptions = BoundOptions()) -> Bo
 
     from . import bessel_lb, fourier_lb  # deferred: those modules import bounds
 
-    upper = upper_bound(n, a, d)
+    log_up = log_upper_bound(n, a, d)
+    upper = math.exp(log_up) if log_up < 709.0 else math.inf
     weak = upper_bound_weak(n, a, d)
     weak2: float | None = None
     if query.regime is Regime.HIGH:
@@ -339,7 +367,10 @@ def best_bounds(query: BoundQuery, options: BoundOptions = BoundOptions()) -> Bo
 
     method = max(lowers, key=lambda k: lowers[k])
     lower = lowers[method]
-    log_up = log_upper_bound(n, a, d)
+    # the fourier bound leaves the double range first; its log stays finite
+    log_lower = (
+        fourier_lb._log_fourier_lower(n, a, d) if method == "fourier" else math.log(lower)
+    )
     return BoundReport(
         query=query,
         upper=upper,
@@ -352,6 +383,6 @@ def best_bounds(query: BoundQuery, options: BoundOptions = BoundOptions()) -> Bo
         method_of_best_lower=method,
         sharp=False,
         log2_upper_over_n=log_up / math.log(2.0) / n,
-        log2_lower_over_n=math.log2(lower) / n,
+        log2_lower_over_n=log_lower / math.log(2.0) / n,
         metadata=meta,
     )

@@ -75,12 +75,15 @@ _CSV_FIELDS = [
 ]
 
 
-def _round_down(x: float) -> float:
-    return math.floor(x * 100.0) / 100.0
+def _finite(x: float | None) -> float | None:
+    """x, or None (JSON null) for a bound beyond the double range."""
+    return x if x is not None and math.isfinite(x) else None
 
 
-def _round_up(x: float) -> float:
-    return math.ceil(x * 100.0) / 100.0
+def _printed(x: float, rounding) -> float | None:
+    """x rounded to two decimals by floor or ceil; None beyond the double range."""
+    scaled = x * 100.0
+    return rounding(scaled) / 100.0 if math.isfinite(scaled) else None
 
 
 def _record_from_report(command: str, report: BoundReport) -> dict:
@@ -88,19 +91,19 @@ def _record_from_report(command: str, report: BoundReport) -> dict:
     return {
         "command": command,
         "query": {"n": q.n, "a": q.a, "d": q.d, "regime": q.regime.value},
-        "upper": report.upper,
-        "upper_weak": report.upper_weak,
-        "upper_weak2": report.upper_weak2,
-        "lower_ground": report.lower_ground,
-        "lower_bessel": report.lower_bessel,
-        "lower_fourier": report.lower_fourier,
-        "lower": report.lower,
+        "upper": _finite(report.upper),
+        "upper_weak": _finite(report.upper_weak),
+        "upper_weak2": _finite(report.upper_weak2),
+        "lower_ground": _finite(report.lower_ground),
+        "lower_bessel": _finite(report.lower_bessel),
+        "lower_fourier": _finite(report.lower_fourier),
+        "lower": _finite(report.lower),
         "method_of_best_lower": report.method_of_best_lower,
         "sharp": report.sharp,
         "log2_upper_over_n": report.log2_upper_over_n,
         "log2_lower_over_n": report.log2_lower_over_n,
-        "printed_lower": _round_down(report.lower),
-        "printed_upper": _round_up(report.upper),
+        "printed_lower": _printed(report.lower, math.floor),
+        "printed_upper": _printed(report.upper, math.ceil),
         "metadata": dict(report.metadata),
     }
 
@@ -131,7 +134,14 @@ def _emit(records: list[dict], fmt: str, out: io.TextIOBase, timing_ms: float | 
         if r.get("error"):
             out.write(f"n={q['n']:g} a={q['a']:g} d={q['d']}  error: {r['error']}\n")
             continue
-        if r.get("sharp"):
+        if r.get("printed_lower") is None or r.get("printed_upper") is None:
+            out.write(
+                f"n={q['n']:g} a={q['a']:g} d={q['d']}  "
+                f"{r['log2_lower_over_n']:.6f} <= log2(K)/n <= {r['log2_upper_over_n']:.6f}  "
+                f"(bounds beyond the double range, "
+                f"best lower: {r['method_of_best_lower']})\n"
+            )
+        elif r.get("sharp"):
             out.write(
                 f"n={q['n']:g} a={q['a']:g} d={q['d']}  K = {r['lower']:.6f} (sharp)"
                 f"  [{r['printed_lower']:.2f} < K < {r['printed_upper']:.2f}]\n"

@@ -82,7 +82,9 @@ def _require_fourier_regime(n: float, a: float, d: int) -> Regime:
 def _v_general(mu: float, n: float, a: float, d: int) -> float:
     """v(mu, n, a, d): the finite-n correction at trial width parameter mu."""
     na = n + a
-    base = 1.0 - mu / na + mu * mu * a * n / na**4
+    # na**4 raises OverflowError from n ~ 1e77 on; the product overflows to
+    # inf instead, so the term goes to 0
+    base = 1.0 - mu / na + mu * mu * a * n / ((na * na) * (na * na))
     ex = ((2.0 * a - mu) * mu * n + mu * a * a) / (2.0 * na * na - 2.0 * mu * n) - (
         mu * a * a
     ) / (2.0 * na * na - 2.0 * mu * a)
@@ -93,22 +95,27 @@ def v_coeff(n: float, a: float, d: int) -> float:
     """v(n, a, d): the finite-n factor of the closed-form bound; tends to 1."""
     _require_fourier_regime(n, a, d)
     na = n + a
-    base = 1.0 - d / (2.0 * na) + d * d * a * n / (4.0 * na**4)
+    base = 1.0 - d / (2.0 * na) + d * d * a * n / (4.0 * (na * na) * (na * na))
     ex = ((4.0 * a - d) * d * n + 2.0 * d * a * a) / (8.0 * na * na - 4.0 * d * n) - (
         d * a * a
     ) / (4.0 * na * na - 2.0 * d * a)
     return base ** (d / 4.0) * math.exp(ex)
 
 
-def fourier_lower(n: float, a: float, d: int) -> float:
-    """Closed-form lower bound R v 2^n / (n + a)^(a/2 + d/4) (log-safe)."""
+def _log_fourier_lower(n: float, a: float, d: int) -> float:
+    """log of fourier_lower; finite where the bound leaves the double range."""
     _require_fourier_regime(n, a, d)
-    lg = (
+    return (
         _log_r_const(a, d)
         + math.log(v_coeff(n, a, d))
         + n * math.log(2.0)
         - (a / 2.0 + d / 4.0) * math.log(n + a)
     )
+
+
+def fourier_lower(n: float, a: float, d: int) -> float:
+    """Closed-form lower bound R v 2^n / (n + a)^(a/2 + d/4) (log-safe)."""
+    lg = _log_fourier_lower(n, a, d)
     return math.exp(lg) if lg < 709.0 else math.inf
 
 

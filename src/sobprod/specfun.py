@@ -10,11 +10,10 @@ independent references.
 
 Contents:
   ln_gamma            log Gamma via a Lanczos approximation (g=7, 9 terms)
-  beta                Beta function in log space
+  log_binomial        log C(m, j) from three ln_gamma values
   log_binomials       log C(m, j) for j = 0..m, cached per m
   log_sum_exp         log of a sum of exponentials, overflow-safe
   e_power             E(s) = s^s with E(0) = 1
-  erf                 error function (series + Lentz continued fraction)
   hyp2f1              Gauss 2F1 for z < 1, negative z through the Pfaff map,
                       cancelling branches re-summed in decimal
   bessel_k            Macdonald function K_nu (Temme series + continued
@@ -34,11 +33,10 @@ from .errors import DomainError, NonConvergenceError
 
 __all__ = [
     "ln_gamma",
-    "beta",
+    "log_binomial",
     "log_binomials",
     "log_sum_exp",
     "e_power",
-    "erf",
     "hyp2f1",
     "bessel_k",
     "imbedding_constant",
@@ -81,20 +79,15 @@ def ln_gamma(x: float) -> float:
     return _LN_SQRT_2PI + (x - 0.5) * math.log(t) - t + math.log(acc)
 
 
-def beta(z: float, w: float) -> float:
-    """Beta function B(z, w) = Gamma(z) Gamma(w) / Gamma(z + w), z, w > 0."""
-    if not (z > 0.0 and w > 0.0):
-        raise DomainError(f"beta requires z, w > 0, got ({z}, {w})")
-    return math.exp(ln_gamma(z) + ln_gamma(w) - ln_gamma(z + w))
+def log_binomial(m: int, j: int) -> float:
+    """log C(m, j) for integers 0 <= j <= m."""
+    return ln_gamma(m + 1.0) - ln_gamma(j + 1.0) - ln_gamma(m - j + 1.0)
 
 
 @lru_cache(maxsize=16)
 def log_binomials(m: int) -> tuple[float, ...]:
     """log C(m, j) for j = 0..m."""
-    return tuple(
-        ln_gamma(m + 1.0) - ln_gamma(j + 1.0) - ln_gamma(m - j + 1.0)
-        for j in range(m + 1)
-    )
+    return tuple(log_binomial(m, j) for j in range(m + 1))
 
 
 def log_sum_exp(logs: list[float]) -> float:
@@ -110,50 +103,6 @@ def e_power(s: float) -> float:
     if s == 0.0:
         return 1.0
     return math.exp(s * math.log(s))
-
-
-# ---------------------------------------------------------------------------
-# error function
-# ---------------------------------------------------------------------------
-
-_TWO_OVER_SQRT_PI = 1.1283791670955125738961589031215452
-
-
-def erf(x: float) -> float:
-    """Error function, absolute error below 1e-14.
-
-    Power series for |x| <= 2.5, a backward-evaluated continued fraction
-    for the complementary function beyond; erf(x) = 1 to machine
-    precision for x >= 6.5.
-    """
-    if x < 0.0:
-        return -erf(-x)
-    if x == 0.0:
-        return 0.0
-    if x >= 6.5:
-        return 1.0
-    if x <= 2.5:
-        # sum_k (-1)^k x^(2k+1) / (k! (2k+1))
-        x2 = x * x
-        term = x
-        acc = x
-        k = 0
-        while True:
-            k += 1
-            term *= -x2 / k
-            acc += term / (2 * k + 1)
-            if abs(term) < 1e-18 * abs(acc) * (2 * k + 1):
-                break
-            if k > 400:  # unreachable on this range
-                raise NonConvergenceError("erf series stalled")
-        return _TWO_OVER_SQRT_PI * acc
-    # erfc(x) = exp(-x^2)/sqrt(pi) / (x + (1/2)/(x + 1/(x + (3/2)/(x + ...))))
-    # Backward evaluation with fixed depth; 200 levels is ample for x >= 2.5.
-    t = 0.0
-    for m in range(200, 0, -1):
-        t = (m / 2.0) / (x + t)
-    erfc = math.exp(-x * x) / math.sqrt(math.pi) / (x + t)
-    return 1.0 - erfc
 
 
 # ---------------------------------------------------------------------------

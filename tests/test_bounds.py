@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import assume, given, settings
@@ -162,11 +163,38 @@ class TestUpperBounds:
         with pytest.raises(RegimeError):
             upper_bound_weak2(1.0, 2.0, 2)
 
-    def test_log_path_consistent_with_direct(self):
-        # n+ = 50 boundary: both code paths agree
-        for n in (49.0, 50.0, 51.0, 80.0):
-            direct = math.exp(bounds.log_upper_bound(n, 2.0, 2))
-            assert_rel(upper_bound(n, 2.0, 2), direct, 1e-12)
+    @staticmethod
+    def _full_lattice_log_upper(n, a, d):
+        """log of S(a, d) sum_j C(N, j) c_j over every lattice point."""
+        npl = math.ceil(n)
+        total = math.fsum(
+            math.comb(npl, j) / 2**npl * e_product_coeff(n, p.ell, a, d)
+            for j, p in enumerate(lattice_coeffs(n))
+        )
+        return math.log(s_const(a, d)) + npl * math.log(2.0) + math.log(total)
+
+    @staticmethod
+    def _plateau_cases():
+        rng = random.Random(20261018)
+        cases = []
+        for d in (1, 2, 3):
+            # n = a puts lattice points at a/2 and n - a/2; a close to n
+            # leaves a plateau of one point or none
+            cases += [(2.0, 2.0, d), (24.0, 24.0, d), (40.0, 40.0, d),
+                      (39.5, 39.4999, d), (7.25, 7.25, d)]
+            cases += [(n, 2.0, d) for n in (49.0, 50.0, 51.0, 80.0)]
+            for _ in range(40):
+                a = rng.uniform(d / 2.0 + 1e-3, 40.0)
+                n = rng.uniform(a, 400.0)
+                cases.append((float(math.ceil(n)) if rng.random() < 0.5 else n, a, d))
+        return cases
+
+    def test_log_upper_bound_matches_full_lattice_sum(self):
+        # the O(a) plateau form against the sum over all n+ + 1 points
+        for n, a, d in self._plateau_cases():
+            got = bounds.log_upper_bound(n, a, d)
+            want = self._full_lattice_log_upper(n, a, d)
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (n, a, d, got, want)
 
     @given(
         st.sampled_from([1, 2, 3]),

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -92,6 +93,46 @@ class TestBound:
         assert rec["lower_bessel"] is None
         assert "double range" in rec["metadata"]["bessel_unavailable"]
         assert rec["method_of_best_lower"] == "fourier"
+
+    @pytest.mark.parametrize("n", ["1500", "1e6", "1e300"])
+    def test_bound_beyond_double_range_prints(self, schema, n):
+        t0 = time.perf_counter()
+        code, recs = run_json("bound", "--n", n, "--a", "2", "--d", "2")
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 0
+        rec = recs[0]
+        assert rec["upper"] is None and rec["printed_upper"] is None
+        assert math.isfinite(rec["log2_upper_over_n"])
+        assert math.isfinite(rec["log2_lower_over_n"])
+        assert rec["log2_lower_over_n"] <= rec["log2_upper_over_n"]
+        validate_records(schema, recs)
+        code, text = run_cli("bound", "--n", n, "--a", "2", "--d", "2")
+        assert code == 0
+        assert "beyond the double range" in text and "None" not in text
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
+class TestTotality:
+    def test_bound_grid_ends_with_contract_exit_codes(self):
+        t0 = time.perf_counter()
+        for d in (1, 2, 3):
+            ns = (0.0, 1e-300, d / 2.0, 150.5, 1500.0, 1e6, 1e300,
+                  math.inf, -math.inf, math.nan)
+            for n in ns:
+                for a in (d / 2.0 + 0.1, 2.0, 1e3, math.inf, math.nan):
+                    argv = ("bound", "--n", repr(n), "--a", repr(a), "--d", str(d),
+                            "--format", "json")
+                    try:
+                        code, text = run_cli(*argv)
+                    except SystemExit as exc:  # argparse reads "-inf" as a flag
+                        code, text = exc.code, ""
+                    assert code in (0, 2, 3, 4), argv
+                    if code == 0:
+                        json.loads(text, parse_constant=_reject_constant)
+        assert time.perf_counter() - t0 < 5.0
 
 
 class TestTable:

@@ -12,7 +12,7 @@ from conftest import assert_abs, assert_rel, rel_err
 
 
 # ---------------------------------------------------------------------------
-# ln_gamma / beta / e_power
+# ln_gamma / e_power
 # ---------------------------------------------------------------------------
 
 
@@ -53,21 +53,6 @@ class TestLnGamma:
             specfun.ln_gamma(-1.5)
 
 
-class TestBeta:
-    @pytest.mark.parametrize(
-        "z,w,expected",
-        [(1.0, 1.0, 1.0), (0.5, 0.5, math.pi), (2.0, 3.0, 1.0 / 12.0)],
-    )
-    def test_reference_points(self, z, w, expected):
-        assert_rel(specfun.beta(z, w), expected, 1e-13)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            specfun.beta(0.0, 1.0)
-        with pytest.raises(DomainError):
-            specfun.beta(1.0, -2.0)
-
-
 class TestEPower:
     def test_endpoint(self):
         assert specfun.e_power(0.0) == 1.0
@@ -79,27 +64,6 @@ class TestEPower:
     def test_domain(self):
         with pytest.raises(DomainError):
             specfun.e_power(-1e-9)
-
-
-# ---------------------------------------------------------------------------
-# erf
-# ---------------------------------------------------------------------------
-
-
-class TestErf:
-    def test_zero_and_saturation(self):
-        assert specfun.erf(0.0) == 0.0
-        assert abs(specfun.erf(10.0) - 1.0) < 1e-15
-
-    def test_against_stdlib(self):
-        for i in range(1, 140):
-            x = 0.05 * i
-            assert_abs(specfun.erf(x), math.erf(x), 1e-14, f"erf({x})")
-
-    @given(st.floats(min_value=1e-6, max_value=6.0))
-    @settings(max_examples=60, deadline=None)
-    def test_odd_symmetry(self, x):
-        assert specfun.erf(-x) == -specfun.erf(x)
 
 
 # ---------------------------------------------------------------------------
