@@ -42,7 +42,11 @@ nodes.  Each distinct node is therefore summed once per query: F values
 live in one table keyed on (n, d, rel_tol), held while a query runs and
 freed when the outermost one returns.  A query is one moment set, one
 direct square norm, or one whole lower-bound maximization, whose every
-lam reads the same table.
+lam reads the same table.  The fine pass of a direct square norm ends at
+its tail cutoff rounded up to a power of two: the cutoff depends on lam,
+and a lam-free set of interval ends lets the lam of one maximization
+bisect the same few intervals and meet the same nodes, where a cutoff of
+their own would give each lam nodes no other lam reads.
 
 The lower bound maximizes the ratio |f^2|_n / (|f|_a |f|_n) over lam.
 For integer n the lam-dependence factors out of the hypergeometric
@@ -152,10 +156,8 @@ def _norm_sq(lam: float, q: float, n: float, d: int) -> float:
             ]
         )
         return math.exp(_log_norm_prefactor(lam, d) + lse)
-    # summed to a quarter of the tolerance, so the roundoff term of the
-    # returned error bound fits under it
     val, err = specfun.hyp2f1_with_error(
-        -q, d / 2.0, 2.0 * n - q, 1.0 - lam * lam, _NORM_REL_TOL / 4.0, _NORM_MAX_TERMS
+        -q, d / 2.0, 2.0 * n - q, 1.0 - lam * lam, _NORM_REL_TOL, _NORM_MAX_TERMS
     )
     if not err <= _NORM_REL_TOL * val:
         raise NonConvergenceError(
@@ -269,7 +271,9 @@ def _square_tail_cutoff(n: float, d: int, log_growth: float, log_coarse: float) 
 
     The integrand tail is bounded by growth * C^2 * s^(d - 1 - 2n) (growth
     carries the (2 lam)^(2n)-type factor in log form), so
-    tail(S) = 2 * growth * C^2 * S^(d - 2n) / (2n - d).
+    tail(S) = 2 * growth * C^2 * S^(d - 2n) / (2n - d).  Any larger S
+    keeps the bound, which is what lets bessel_square_norm round S up to a
+    lam-free power of two.
     """
     log_c2 = 2.0 * _log_cf_asymptotic(n, d)
     log_target = math.log(_TAIL_FRACTION) + log_coarse
@@ -288,6 +292,11 @@ def bessel_square_norm(
     binomial expansion of (1 + 4 lam^2 s^2)^n); "quadrature" forces the
     direct per-lam integral.  Both paths evaluate the hypergeometric
     through the Pfaff-transformed series.
+
+    The direct integral truncates at the tail cutoff rounded up to the
+    next power of two (at most 1e13), so the lam of one maximization share
+    their fine-pass interval and F nodes (see module notes).  The value at
+    one lam does not depend on which lam were tried before it.
     """
     n, d, lam = trial.n, trial.d, trial.lam
     if method not in ("auto", "quadrature"):
@@ -319,6 +328,9 @@ def bessel_square_norm(
         cutoff = _square_tail_cutoff(
             n, d, 2.0 * n * math.log(2.0 * lam), lmax + math.log(max(coarse.value, 1e-300))
         )
+        # the next power of two: every lam of a maximization bisects one of
+        # a few shared intervals, and a larger cutoff only shrinks the tail
+        cutoff = min(2.0 ** math.ceil(math.log2(cutoff)), 1e13)
         res = integrate_semiline(
             lambda s: math.exp(log_f(s) - lmax), rel_tol=rel_tol, upper=cutoff
         )

@@ -234,7 +234,16 @@ def _a_n(n: float, a: float) -> int:
 
 
 def u_coeff(n: float, a: float, d: int) -> float:
-    """The u(n, a, d) factor of the second weak bound; tends to 1 as n grows."""
+    """The u(n, a, d) factor of the second weak bound; tends to 1 as n
+    grows, and is inf where it leaves the double range."""
+    lu = _log_u_coeff(n, a, d)
+    return math.exp(lu) if lu < 709.0 else math.inf
+
+
+def _log_u_coeff(n: float, a: float, d: int) -> float:
+    """log u = log1p((P^-1 - 1) C(N, k) 2^-(N - a_n)) with P = (16/27)^(d/4),
+    k = N - a_n + 1; the binomial stays in logs, so this is finite where u
+    itself is beyond the double range (a close to n, N from about 2050)."""
     npl = _n_plus(n)
     an = _a_n(n, a)
     k = npl - an + 1
@@ -244,17 +253,22 @@ def u_coeff(n: float, a: float, d: int) -> float:
             f"(non-integer n made a_n too large)"
         )
     lg = specfun.log_binomial(npl, k) - (npl - an) * math.log(2.0)
-    return 1.0 + (math.exp(_LN_16_27 * (-d / 4.0)) - 1.0) * math.exp(lg)
+    x = math.log(math.exp(_LN_16_27 * (-d / 4.0)) - 1.0) + lg
+    # log(1 + e^x), with e^x kept in range for large x
+    return x + math.log1p(math.exp(-x)) if x > 0.0 else math.log1p(math.exp(x))
 
 
 def upper_bound_weak2(n: float, a: float, d: int) -> float:
     """High-regime weak bound (16/27)^(d/4) S(a,d) u(n,a,d) 2^(n+)."""
     if classify_regime(n, a, d) is not Regime.HIGH:
         raise RegimeError(f"weak2 bound needs the high regime, got (n={n}, a={a}, d={d})")
-    u = u_coeff(n, a, d)
-    lg = _LN_16_27 * d / 4.0 + _log_s_const(a, d) + _n_plus(n) * math.log(2.0)
-    val = math.exp(lg) if lg < 709.0 else math.inf
-    return val * u
+    lg = (
+        _LN_16_27 * d / 4.0
+        + _log_s_const(a, d)
+        + _n_plus(n) * math.log(2.0)
+        + _log_u_coeff(n, a, d)
+    )
+    return math.exp(lg) if lg < 709.0 else math.inf
 
 
 def ground_lower(a: float, d: int) -> float:

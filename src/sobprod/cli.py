@@ -76,8 +76,13 @@ _CSV_FIELDS = [
 
 
 def _finite(x: float | None) -> float | None:
-    """x, or None (JSON null) for a bound beyond the double range."""
+    """x, or None (JSON null) where x is not finite: a bound beyond the
+    double range, or a log2 field the magnitudes of n leave undefined."""
     return x if x is not None and math.isfinite(x) else None
+
+
+def _log2_text(x: float | None) -> str:
+    return "undefined" if x is None else f"{x:.6f}"
 
 
 def _printed(x: float, rounding) -> float | None:
@@ -100,8 +105,8 @@ def _record_from_report(command: str, report: BoundReport) -> dict:
         "lower": _finite(report.lower),
         "method_of_best_lower": report.method_of_best_lower,
         "sharp": report.sharp,
-        "log2_upper_over_n": report.log2_upper_over_n,
-        "log2_lower_over_n": report.log2_lower_over_n,
+        "log2_upper_over_n": _finite(report.log2_upper_over_n),
+        "log2_lower_over_n": _finite(report.log2_lower_over_n),
         "printed_lower": _printed(report.lower, math.floor),
         "printed_upper": _printed(report.upper, math.ceil),
         "metadata": dict(report.metadata),
@@ -137,7 +142,8 @@ def _emit(records: list[dict], fmt: str, out: io.TextIOBase, timing_ms: float | 
         if r.get("printed_lower") is None or r.get("printed_upper") is None:
             out.write(
                 f"n={q['n']:g} a={q['a']:g} d={q['d']}  "
-                f"{r['log2_lower_over_n']:.6f} <= log2(K)/n <= {r['log2_upper_over_n']:.6f}  "
+                f"{_log2_text(r['log2_lower_over_n'])} <= log2(K)/n <= "
+                f"{_log2_text(r['log2_upper_over_n'])}  "
                 f"(bounds beyond the double range, "
                 f"best lower: {r['method_of_best_lower']})\n"
             )

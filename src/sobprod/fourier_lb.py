@@ -284,7 +284,7 @@ def optimal_trial_parameters(n: float, a: float, d: int) -> tuple[float, float]:
     mu = d/2 point of the trial parameterization."""
     lam = a - d / 2.0
     mu = d / 2.0
-    p = math.sqrt((n + a) / lam)
+    p = math.sqrt(n + a) / math.sqrt(lam)  # (n + a)/lam can overflow
     sigma = (mu / lam) / (n + a)
     return p, sigma
 

@@ -129,13 +129,16 @@ def _hyp_series(
 ) -> tuple[float, float, float, int]:
     """Float partial sum of F(a, b, c; w) = sum_k (a)_k (b)_k / ((c)_k k!) w^k.
 
-    For 0 <= w <= 1, summed in numpy blocks until the truncation tail meets
-    rtol or max_terms terms are summed.  The tail is geometric from the
-    last term ratio when that is below one, else the algebraic 4 |t_K| K /
-    delta for delta = c - a - b > 0, since |t_k| ~ C k^(-1-delta).  Both
-    are estimates from the last block, not bounds over every later term:
-    while the ratio still rises toward w the geometric one can fall short
-    of the true tail.
+    For 0 <= w <= 1, summed in numpy blocks until the error of the float
+    pass (below) meets rtol or max_terms terms are summed.  Once its
+    roundoff term alone exceeds rtol/2 the series cancels and more terms
+    cannot help: the pass then stops as soon as the truncation tail meets
+    rtol, the term count a decimal re-sum starts from.  The tail is
+    geometric from the last term ratio when that is below one, else the
+    algebraic 4 |t_K| K / delta for delta = c - a - b > 0, since
+    |t_k| ~ C k^(-1-delta).  Both are estimates from the last block, not
+    bounds over every later term: while the ratio still rises toward w the
+    geometric one can fall short of the true tail.
 
     Returns (value, tail, absum, terms): absum is sum|t_k| (inf once it
     leaves the float range) and terms the index of the last summed term.
@@ -181,7 +184,12 @@ def _hyp_series(
             tail = 4.0 * abs(term) * k0 / delta
         else:
             tail = math.inf
-        if tail <= rtol * max(abs(total), 1e-300):
+        target = rtol * max(abs(total), 1e-300)
+        roundoff = _ROUNDOFF * absum
+        # stop once the whole error meets rtol; a branch whose roundoff
+        # alone takes half of it cancels, and stops on its tail as the
+        # decimal re-sum expects
+        if tail + roundoff <= target or (roundoff > target / 2.0 and tail <= target):
             break
     return total, tail, absum, k0
 

@@ -279,6 +279,12 @@ class TestFTable:
         assert warm == cold
         assert len(hyp_calls) < cold_calls  # nodes of the other lam were reused
 
+    def test_maximization_lam_share_nodes(self, hyp_calls):
+        # every lam bisects one of a few power-of-two intervals; with a
+        # cutoff of its own each lam summed F afresh (8921 nodes)
+        bessel_lower_detail(2.8, 1.05, 1)
+        assert len(hyp_calls) < 1500
+
     @pytest.mark.parametrize("first,second", [(1e-9, 1e-7), (1e-7, 1e-9)])
     def test_table_not_reused_across_tolerances(self, hyp_calls, first, second):
         trial = BesselTrial(1.9, 1.5, 1)

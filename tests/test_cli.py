@@ -32,6 +32,17 @@ def schema():
     return json.loads(ref.read_text())
 
 
+def run_module(*argv: str) -> subprocess.CompletedProcess:
+    """python -m sobprod in a subprocess, on the checkout's source tree."""
+    src = os.path.dirname(os.path.dirname(sobprod.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "sobprod", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 def validate_records(schema, records):
     jsonschema = pytest.importorskip("jsonschema")
     for rec in records:
@@ -79,20 +90,29 @@ class TestBound:
     def test_moment_overflow_leaves_fourier_bound(self, n):
         # s^(d-1+2j) of the moment integrand leaves the double range from
         # n = 93 on; the Bessel bound is then unavailable, not a crash
-        src = os.path.dirname(os.path.dirname(sobprod.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-        proc = subprocess.run(
-            [sys.executable, "-m", "sobprod", "bound", "--n", n, "--a", "2", "--d", "2",
-             "--format", "json"],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = run_module("bound", "--n", n, "--a", "2", "--d", "2", "--format", "json")
         assert proc.returncode == 0, proc.stderr
         assert "Traceback" not in proc.stderr
         rec = json.loads(proc.stdout)
         assert rec["lower_bessel"] is None
         assert "double range" in rec["metadata"]["bessel_unavailable"]
         assert rec["method_of_best_lower"] == "fourier"
+
+    @pytest.mark.parametrize("n,a", [("2100", "2100"), ("3000", "2500"), ("1e4", "1e4")])
+    def test_second_weak_bound_beyond_double_range(self, n, a):
+        # u(n, a, d) alone leaves the double range from about n = a = 2050
+        proc = run_module("bound", "--n", n, "--a", a, "--d", "1", "--format", "json")
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stdout)["upper_weak2"] is None
+
+    def test_undefined_log2_field_prints(self, schema):
+        # at n = 1.7e308 the Fourier bound is NaN, so is its log2 field
+        code, recs = run_json("bound", "--n", "1.7e308", "--a", "2", "--d", "2")
+        assert code == 0 and recs[0]["log2_lower_over_n"] is None
+        validate_records(schema, recs)
+        code, text = run_cli("bound", "--n", "1.7e308", "--a", "2", "--d", "2")
+        assert code == 0 and "undefined <= log2(K)/n" in text
 
     @pytest.mark.parametrize("n", ["1500", "1e6", "1e300"])
     def test_bound_beyond_double_range_prints(self, schema, n):
@@ -119,7 +139,7 @@ class TestTotality:
     def test_bound_grid_ends_with_contract_exit_codes(self):
         t0 = time.perf_counter()
         for d in (1, 2, 3):
-            ns = (0.0, 1e-300, d / 2.0, 150.5, 1500.0, 1e6, 1e300,
+            ns = (0.0, 1e-300, d / 2.0, 150.5, 1500.0, 1e6, 1e300, 1.7e308,
                   math.inf, -math.inf, math.nan)
             for n in ns:
                 for a in (d / 2.0 + 0.1, 2.0, 1e3, math.inf, math.nan):

@@ -160,6 +160,8 @@ class TestHyp2f1:
     # scipy off by 17 % and by 2.3e-9 relative
     @example(8.0, 5.0, 3.6369186589237184, -18.4375)
     @example(3.615534617085766, 0.6158276801422129, 8.00637096052519, -4.5)
+    # a direct series whose tail met rel_tol before tail plus roundoff did
+    @example(4.6023855562191445, 0.1, 0.6, 0.6)
     def test_against_scipy_random_parameters(self, mp, a, b, c, z):
         scipy_special = pytest.importorskip("scipy.special")
         ref = float(scipy_special.hyp2f1(a, b, c, z))
