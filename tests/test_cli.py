@@ -32,17 +32,6 @@ def schema():
     return json.loads(ref.read_text())
 
 
-def run_module(*argv: str) -> subprocess.CompletedProcess:
-    """python -m sobprod in a subprocess, on the checkout's source tree."""
-    src = os.path.dirname(os.path.dirname(sobprod.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    return subprocess.run(
-        [sys.executable, "-m", "sobprod", *argv],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-
-
 def validate_records(schema, records):
     jsonschema = pytest.importorskip("jsonschema")
     for rec in records:
@@ -90,21 +79,20 @@ class TestBound:
     def test_moment_overflow_leaves_fourier_bound(self, n):
         # s^(d-1+2j) of the moment integrand leaves the double range from
         # n = 93 on; the Bessel bound is then unavailable, not a crash
-        proc = run_module("bound", "--n", n, "--a", "2", "--d", "2", "--format", "json")
+        src = os.path.dirname(os.path.dirname(sobprod.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "sobprod", "bound", "--n", n, "--a", "2", "--d", "2",
+             "--format", "json"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
         assert proc.returncode == 0, proc.stderr
         assert "Traceback" not in proc.stderr
         rec = json.loads(proc.stdout)
         assert rec["lower_bessel"] is None
         assert "double range" in rec["metadata"]["bessel_unavailable"]
         assert rec["method_of_best_lower"] == "fourier"
-
-    @pytest.mark.parametrize("n,a", [("2100", "2100"), ("3000", "2500"), ("1e4", "1e4")])
-    def test_second_weak_bound_beyond_double_range(self, n, a):
-        # u(n, a, d) alone leaves the double range from about n = a = 2050
-        proc = run_module("bound", "--n", n, "--a", a, "--d", "1", "--format", "json")
-        assert proc.returncode == 0, proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert json.loads(proc.stdout)["upper_weak2"] is None
 
     def test_undefined_log2_field_prints(self, schema):
         # at n = 1.7e308 the Fourier bound is NaN, so is its log2 field
@@ -114,19 +102,27 @@ class TestBound:
         code, text = run_cli("bound", "--n", "1.7e308", "--a", "2", "--d", "2")
         assert code == 0 and "undefined <= log2(K)/n" in text
 
-    @pytest.mark.parametrize("n", ["1500", "1e6", "1e300"])
-    def test_bound_beyond_double_range_prints(self, schema, n):
+    # with a close to n, u(n, a, d) of the second weak bound alone leaves
+    # the double range from about n = a = 2050
+    @pytest.mark.parametrize(
+        "n,a,d",
+        [("1500", "2", "2"), ("1e6", "2", "2"), ("1e300", "2", "2"),
+         ("2100", "2100", "1"), ("3000", "2500", "1"), ("1e4", "1e4", "1")],
+        ids=["1500", "1e6", "1e300", "2100-2100-1", "3000-2500-1", "1e4-1e4-1"],
+    )
+    def test_bound_beyond_double_range_prints(self, schema, n, a, d):
         t0 = time.perf_counter()
-        code, recs = run_json("bound", "--n", n, "--a", "2", "--d", "2")
+        code, recs = run_json("bound", "--n", n, "--a", a, "--d", d)
         assert time.perf_counter() - t0 < 1.0
         assert code == 0
         rec = recs[0]
         assert rec["upper"] is None and rec["printed_upper"] is None
+        assert rec["upper_weak2"] is None
         assert math.isfinite(rec["log2_upper_over_n"])
         assert math.isfinite(rec["log2_lower_over_n"])
         assert rec["log2_lower_over_n"] <= rec["log2_upper_over_n"]
         validate_records(schema, recs)
-        code, text = run_cli("bound", "--n", n, "--a", "2", "--d", "2")
+        code, text = run_cli("bound", "--n", n, "--a", a, "--d", d)
         assert code == 0
         assert "beyond the double range" in text and "None" not in text
 
