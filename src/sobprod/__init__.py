@@ -9,7 +9,6 @@ against independent discrete norms.
 """
 
 from .bounds import (
-    BoundOptions,
     BoundQuery,
     BoundReport,
     Regime,
@@ -47,7 +46,6 @@ from .numerics import MaximizerResult, QuadratureResult, integrate_semiline, max
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundOptions",
     "BoundQuery",
     "BoundReport",
     "Regime",

@@ -38,15 +38,16 @@ coarse first pass; integrands assemble in log space so the
 
 F depends on neither lam nor the moment index, and the scan, coarse and
 fine passes bisect the same mapped interval, so they share most of their
-nodes.  Each distinct node is therefore summed once per query: F values
-live in one table keyed on (n, d, rel_tol), held while a query runs and
-freed when the outermost one returns.  A query is one moment set, one
-direct square norm, or one whole lower-bound maximization, whose every
-lam reads the same table.  The fine pass of a direct square norm ends at
-its tail cutoff rounded up to a power of two: the cutoff depends on lam,
-and a lam-free set of interval ends lets the lam of one maximization
-bisect the same few intervals and meet the same nodes, where a cutoff of
-their own would give each lam nodes no other lam reads.
+nodes.  Each distinct node is therefore summed once: F values live in a
+dict from node s to F per (n, d, rel_tol), and the few most recent such
+dicts are kept (_f_values), so every lam of one maximization and every
+moment of one set reads the same dict.  F is a pure function of its key
+and node, so a kept value is the value a fresh sum would give.  The fine
+pass of a direct square norm ends at its tail cutoff rounded up to a
+power of two: the cutoff depends on lam, and a lam-free set of interval
+ends lets the lam of one maximization bisect the same few intervals and
+meet the same nodes, where a cutoff of their own would give each lam
+nodes no other lam reads.
 
 The lower bound maximizes the ratio |f^2|_n / (|f|_a |f|_n) over lam.
 For integer n the lam-dependence factors out of the hypergeometric
@@ -57,14 +58,11 @@ moments; every lam-free log-Gamma term of the norms is cached as well.
 from __future__ import annotations
 
 import math
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
 
 from . import specfun
-from .errors import DomainError, NonConvergenceError
+from .errors import DomainError, NonConvergenceError, check_dimension
 from .numerics import integrate_semiline, maximize_scalar
 
 __all__ = [
@@ -85,6 +83,7 @@ _NORM_REL_TOL = 1e-12  # certified relative accuracy of |f|_q^2 at non-integer q
 # the Euler-form series needs O(lam^2) terms: at lam = 100 the default 500 000
 # leaves 65-73 of 1000 random (q, n, d) uncertified, 750 000 none
 _NORM_MAX_TERMS = 750_000
+_BRACKET = (0.2, 5.0)  # initial lam bracket of the maximization, expanded as needed
 
 
 @dataclass(frozen=True)
@@ -96,8 +95,7 @@ class BesselTrial:
     d: int
 
     def __post_init__(self) -> None:
-        if self.d < 1 or int(self.d) != self.d:
-            raise DomainError(f"dimension must be a positive integer, got {self.d}")
+        check_dimension(self.d)
         if not self.lam > 0.0:
             raise DomainError(f"trial rescale factor must be positive, got {self.lam}")
         if not self.n > self.d / 2.0:
@@ -211,7 +209,7 @@ def _hyp_value(n: float, d: int, s: float, rel_tol: float) -> float:
     truncation point already caps the tail's share at 1e-12.
 
     The integrands do not call this directly: they read F through
-    _F_TABLE, which calls it once per distinct node s of a query.
+    _f_values, which calls it once per distinct node s.
     """
     a, b, c = _hyp_params(n, d)
     z = -s * s
@@ -227,45 +225,17 @@ def _hyp_value(n: float, d: int, s: float, rel_tol: float) -> float:
     )
 
 
-class _FTable(threading.local):
-    """F values by quadrature node s, for one (n, d, rel_tol) at a time.
+@lru_cache(maxsize=4)
+def _f_values(n: float, d: int, rel_tol: float) -> dict[float, float]:
+    """The F values summed so far at (n, d, rel_tol), by node s.
 
-    value() sums F at a node the first time it is asked for and serves it
-    from the table afterwards.  A request under another key first drops
-    every stored value, so at most one table is alive and a looser
-    tolerance never serves a tighter one.  Queries hold the table with
-    held(); when the outermost holder returns, the values are freed, so
-    the table spans exactly one query and the lam that query tries.
-    Callers hold it for every value() they make.  Each thread has its own
-    table, so concurrent queries never read each other's values.
+    A query reads one key (every lam of a maximization, every moment of a
+    moment set), and the four most recent keys are kept.  A dict grows
+    only with the nodes its queries meet, a few hundred per query.
+    Threads may share a dict: a node is only ever written with the one
+    value F has there.
     """
-
-    def __init__(self) -> None:
-        self._key: tuple[float, int, float] | None = None
-        self._values: dict[float, float] = {}
-        self._holders = 0
-
-    def value(self, n: float, d: int, s: float, rel_tol: float) -> float:
-        key = (n, d, rel_tol)
-        if key != self._key:
-            self._key, self._values = key, {}
-        fval = self._values.get(s)
-        if fval is None:
-            fval = self._values[s] = _hyp_value(n, d, s, rel_tol)
-        return fval
-
-    @contextmanager
-    def held(self) -> Iterator[None]:
-        self._holders += 1
-        try:
-            yield
-        finally:
-            self._holders -= 1
-            if not self._holders:
-                self._key, self._values = None, {}
-
-
-_F_TABLE = _FTable()
+    return {}
 
 
 def _square_tail_cutoff(n: float, d: int, log_growth: float, log_coarse: float) -> float:
@@ -287,29 +257,33 @@ def _square_tail_cutoff(n: float, d: int, log_growth: float, log_coarse: float) 
     return min(2.0 ** math.ceil(log2_s), 1e13)
 
 
-def bessel_square_norm(
-    trial: BesselTrial, method: str = "auto", rel_tol: float = 1e-9
-) -> float:
+def bessel_square_norm(trial: BesselTrial, rel_tol: float = 1e-9) -> float:
     """Squared H^n norm of the squared trial function.
 
-    "auto" routes integer n through cached lam-independent moments (the
-    binomial expansion of (1 + 4 lam^2 s^2)^n); "quadrature" forces the
-    direct per-lam integral.  Both paths evaluate the hypergeometric
-    through the Pfaff-transformed series.
+    Integer n goes through cached lam-independent moments (the binomial
+    expansion of (1 + 4 lam^2 s^2)^n), other n through the direct per-lam
+    integral.  Both evaluate the hypergeometric through the
+    Pfaff-transformed series.
     """
     n, d, lam = trial.n, trial.d, trial.lam
-    if method not in ("auto", "quadrature"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "auto" and _is_integer(n):
+    if _is_integer(n):
         return _square_norm_from_moments(lam, int(round(n)), d, rel_tol)
+    return _square_norm_direct(lam, n, d, rel_tol)
 
+
+def _square_norm_direct(lam: float, n: float, d: int, rel_tol: float) -> float:
+    """|f^2|_n^2 as the direct per-lam integral, at any n (the reference
+    for the moments at integer n)."""
     lam2_4 = 4.0 * lam * lam
     f_tol = rel_tol * 1e-2
+    fvals = _f_values(n, d, f_tol)
 
     def log_f(s: float) -> float:
         if s <= 0.0:
             return -math.inf
-        fval = _F_TABLE.value(n, d, s, f_tol)
+        fval = fvals.get(s)
+        if fval is None:
+            fval = fvals[s] = _hyp_value(n, d, s, f_tol)
         if fval <= 0.0:
             return -math.inf
         return (
@@ -318,18 +292,17 @@ def bessel_square_norm(
             + 2.0 * math.log(fval)
         )
 
-    with _F_TABLE.held():
-        scan = [10.0 ** (-3 + 5 * i / 40.0) for i in range(41)]
-        lmax = max(log_f(s) for s in scan)
-        coarse = integrate_semiline(
-            lambda s: math.exp(log_f(s) - lmax), rel_tol=1e-6, upper=50.0
-        )
-        cutoff = _square_tail_cutoff(
-            n, d, 2.0 * n * math.log(2.0 * lam), lmax + math.log(max(coarse.value, 1e-300))
-        )
-        res = integrate_semiline(
-            lambda s: math.exp(log_f(s) - lmax), rel_tol=rel_tol, upper=cutoff
-        )
+    scan = [10.0 ** (-3 + 5 * i / 40.0) for i in range(41)]
+    lmax = max(log_f(s) for s in scan)
+    coarse = integrate_semiline(
+        lambda s: math.exp(log_f(s) - lmax), rel_tol=1e-6, upper=50.0
+    )
+    cutoff = _square_tail_cutoff(
+        n, d, 2.0 * n * math.log(2.0 * lam), lmax + math.log(max(coarse.value, 1e-300))
+    )
+    res = integrate_semiline(
+        lambda s: math.exp(log_f(s) - lmax), rel_tol=rel_tol, upper=cutoff
+    )
     if not res.converged:
         raise NonConvergenceError(
             f"square-norm quadrature did not converge (lam={lam}, n={n}, d={d})"
@@ -352,41 +325,43 @@ def _square_moments(n: int, d: int, rel_tol: float) -> tuple[float, ...]:
     """Lam-free moments M_j = int s^(d-1+2j) F(2n-d/2, n, n+1/2; -s^2)^2 ds.
 
     The coarse and fine passes of the n + 1 moment integrals bisect
-    mostly the same mapped intervals, so they read F from one held
-    _F_TABLE: each distinct node is summed once per moment set, not once
+    mostly the same mapped intervals, so they read F from one dict of
+    _f_values: each distinct node is summed once per moment set, not once
     per moment and pass.
     Raises NonConvergenceError where s^(d-1+2j) leaves the double range.
     """
     nf, f_tol = float(n), rel_tol * 1e-2
     log_c2 = 2.0 * _log_cf_asymptotic(nf, d)
+    fvals = _f_values(nf, d, f_tol)
     out = []
-    with _F_TABLE.held():
-        for j in range(n + 1):
-            power = d - 1.0 + 2.0 * j
+    for j in range(n + 1):
+        power = d - 1.0 + 2.0 * j
 
-            def f(s: float, _p: float = power, _j: int = j) -> float:
-                if s <= 0.0:
-                    return 0.0
-                fv = _F_TABLE.value(nf, d, s, f_tol)
-                try:
-                    return s**_p * fv * fv
-                except OverflowError:
-                    raise NonConvergenceError(
-                        f"moment integrand s^{_p:g} leaves the double range at "
-                        f"s={s:.6g} (n={n}, d={d}, j={_j})"
-                    ) from None
-
-            coarse = integrate_semiline(f, rel_tol=1e-6, upper=50.0)
-            decay = 4.0 * n - d - 2.0 * j  # tail exponent of s^(power) * C^2 s^(-4n)
-            log_target = math.log(_TAIL_FRACTION) + math.log(max(coarse.value, 1e-300))
-            log_s = (log_target + math.log(decay) - math.log(2.0) - log_c2) / (-decay)
-            cutoff = min(max(math.exp(log_s), 50.0), 1e13)
-            res = integrate_semiline(f, rel_tol=rel_tol, upper=cutoff)
-            if not res.converged:
+        def f(s: float, _p: float = power, _j: int = j) -> float:
+            if s <= 0.0:
+                return 0.0
+            fv = fvals.get(s)
+            if fv is None:
+                fv = fvals[s] = _hyp_value(nf, d, s, f_tol)
+            try:
+                return s**_p * fv * fv
+            except OverflowError:
                 raise NonConvergenceError(
-                    f"moment quadrature did not converge (n={n}, d={d}, j={j})"
-                )
-            out.append(res.value)
+                    f"moment integrand s^{_p:g} leaves the double range at "
+                    f"s={s:.6g} (n={n}, d={d}, j={_j})"
+                ) from None
+
+        coarse = integrate_semiline(f, rel_tol=1e-6, upper=50.0)
+        decay = 4.0 * n - d - 2.0 * j  # tail exponent of s^(power) * C^2 s^(-4n)
+        log_target = math.log(_TAIL_FRACTION) + math.log(max(coarse.value, 1e-300))
+        log_s = (log_target + math.log(decay) - math.log(2.0) - log_c2) / (-decay)
+        cutoff = min(max(math.exp(log_s), 50.0), 1e13)
+        res = integrate_semiline(f, rel_tol=rel_tol, upper=cutoff)
+        if not res.converged:
+            raise NonConvergenceError(
+                f"moment quadrature did not converge (n={n}, d={d}, j={j})"
+            )
+        out.append(res.value)
     return tuple(out)
 
 
@@ -463,31 +438,19 @@ def bessel_ratio(lam: float, n: float, a: float, d: int, rel_tol: float = 1e-9) 
 
 
 def bessel_lower_detail(
-    n: float,
-    a: float,
-    d: int,
-    rel_tol: float = 1e-8,
-    bracket: tuple[float, float] = (0.2, 5.0),
+    n: float, a: float, d: int, rel_tol: float = 1e-8
 ) -> tuple[float, float, tuple[str, ...]]:
     """(bound, lam_star, warnings): supremum over lam of the trial ratio."""
     if not (n >= a and a > d / 2.0):
         raise DomainError(f"bessel bound needs n >= a > d/2, got (n={n}, a={a}, d={d})")
-    with _F_TABLE.held():  # every lam reads the F values of the ones before it
-        res = maximize_scalar(
-            lambda lam: bessel_ratio(lam, n, a, d, rel_tol=max(rel_tol * 1e-1, 1e-11)),
-            bracket,
-            rel_tol=rel_tol,
-        )
+    ratio_tol = max(rel_tol * 1e-1, 1e-11)
+    res = maximize_scalar(
+        lambda lam: bessel_ratio(lam, n, a, d, rel_tol=ratio_tol), _BRACKET, rel_tol=rel_tol
+    )
     return res.max_value, res.argmax, res.warnings
 
 
-def bessel_lower(
-    n: float,
-    a: float,
-    d: int,
-    rel_tol: float = 1e-8,
-    bracket: tuple[float, float] = (0.2, 5.0),
-) -> tuple[float, float]:
+def bessel_lower(n: float, a: float, d: int, rel_tol: float = 1e-8) -> tuple[float, float]:
     """Best Bessel-trial lower bound and its maximizing rescale factor."""
-    bound, lam_star, _ = bessel_lower_detail(n, a, d, rel_tol=rel_tol, bracket=bracket)
+    bound, lam_star, _ = bessel_lower_detail(n, a, d, rel_tol=rel_tol)
     return bound, lam_star

@@ -1,6 +1,6 @@
 """Regime classification, combinatorial coefficients, upper bounds and the
 ground lower bound for the sharp product-inequality constants, plus the
-aggregation of every enabled method into one certified interval.
+aggregation of every method into one certified interval.
 
 Conventions: K(n, a, d) is the smallest constant with
 
@@ -27,14 +27,13 @@ import math
 from dataclasses import dataclass, field
 
 from . import specfun
-from .errors import DomainError, NonConvergenceError, RegimeError
+from .errors import DomainError, NonConvergenceError, RegimeError, check_dimension
 
 __all__ = [
     "Regime",
     "BoundQuery",
     "LatticeCoefficient",
     "BoundReport",
-    "BoundOptions",
     "classify_regime",
     "s_const",
     "e_const",
@@ -49,6 +48,14 @@ __all__ = [
 ]
 
 _LN_16_27 = math.log(16.0) - math.log(27.0)
+# the Bessel method costs ~n quadratures and is exponentially dominated by
+# the Fourier bound well before this cap
+_BESSEL_MAX_N = 150.0
+
+
+def _exp_or_inf(lg: float) -> float:
+    """exp(lg), or inf where that leaves the double range."""
+    return math.exp(lg) if lg < 709.0 else math.inf
 
 
 class Regime(enum.Enum):
@@ -58,8 +65,7 @@ class Regime(enum.Enum):
 
 def classify_regime(n: float, a: float, d: int) -> Regime:
     """Low iff 0 <= n <= d/2 < a; High iff n >= a > d/2; else RegimeError."""
-    if d < 1 or int(d) != d:
-        raise DomainError(f"dimension must be a positive integer, got {d}")
+    check_dimension(d)
     if not (math.isfinite(n) and math.isfinite(a)):
         raise DomainError(f"n and a must be finite numbers, got n={n}, a={a}")
     half_d = d / 2.0
@@ -99,8 +105,7 @@ def _n_plus(n: float) -> int:
 
 def s_const(a: float, d: int) -> float:
     """S(a, d) = (4 pi)^(-d/4) sqrt(Gamma(a - d/2) / Gamma(a)), a > d/2."""
-    if d < 1 or int(d) != d:
-        raise DomainError(f"dimension must be a positive integer, got {d}")
+    check_dimension(d)
     if not a > d / 2.0:
         raise DomainError(f"s_const requires a > d/2, got a={a}, d={d}")
     return math.exp(_log_s_const(a, d))
@@ -217,15 +222,13 @@ def upper_bound(n: float, a: float, d: int) -> float:
     """Upper bound S(a,d) * sum over the lattice of binom+ * E-coefficient:
     exp(log_upper_bound), so O(a) work in the high regime, and inf where
     the bound leaves the double range."""
-    lg = log_upper_bound(n, a, d)
-    return math.exp(lg) if lg < 709.0 else math.inf
+    return _exp_or_inf(log_upper_bound(n, a, d))
 
 
 def upper_bound_weak(n: float, a: float, d: int) -> float:
     """Weaker bound S(a,d) 2^(n+) (every E-coefficient replaced by 1)."""
     classify_regime(n, a, d)
-    lg = _log_s_const(a, d) + _n_plus(n) * math.log(2.0)
-    return math.exp(lg) if lg < 709.0 else math.inf
+    return _exp_or_inf(_log_s_const(a, d) + _n_plus(n) * math.log(2.0))
 
 
 def _a_n(n: float, a: float) -> int:
@@ -236,8 +239,7 @@ def _a_n(n: float, a: float) -> int:
 def u_coeff(n: float, a: float, d: int) -> float:
     """The u(n, a, d) factor of the second weak bound; tends to 1 as n
     grows, and is inf where it leaves the double range."""
-    lu = _log_u_coeff(n, a, d)
-    return math.exp(lu) if lu < 709.0 else math.inf
+    return _exp_or_inf(_log_u_coeff(n, a, d))
 
 
 def _log_u_coeff(n: float, a: float, d: int) -> float:
@@ -262,29 +264,17 @@ def upper_bound_weak2(n: float, a: float, d: int) -> float:
     """High-regime weak bound (16/27)^(d/4) S(a,d) u(n,a,d) 2^(n+)."""
     if classify_regime(n, a, d) is not Regime.HIGH:
         raise RegimeError(f"weak2 bound needs the high regime, got (n={n}, a={a}, d={d})")
-    lg = (
+    return _exp_or_inf(
         _LN_16_27 * d / 4.0
         + _log_s_const(a, d)
         + _n_plus(n) * math.log(2.0)
         + _log_u_coeff(n, a, d)
     )
-    return math.exp(lg) if lg < 709.0 else math.inf
 
 
 def ground_lower(a: float, d: int) -> float:
     """The n-independent lower bound S(a, d), valid in both regimes."""
     return s_const(a, d)
-
-
-@dataclass(frozen=True)
-class BoundOptions:
-    with_bessel: bool = True
-    with_fourier: bool = True
-    rel_tol: float = 1e-8
-    bessel_bracket: tuple[float, float] = (0.2, 5.0)
-    # the Bessel method costs ~n quadratures and is exponentially dominated
-    # by the Fourier bound well before this cap
-    bessel_max_n: float = 150.0
 
 
 @dataclass(frozen=True)
@@ -306,12 +296,13 @@ class BoundReport:
     metadata: dict = field(default_factory=dict)
 
 
-def best_bounds(query: BoundQuery, options: BoundOptions = BoundOptions()) -> BoundReport:
-    """Aggregate the upper bound and every enabled lower bound.
+def best_bounds(query: BoundQuery, rel_tol: float = 1e-8) -> BoundReport:
+    """Aggregate the upper bound and every lower bound.
 
     n = 0 short-circuits to the exact constant S(a, d) (the upper and
-    ground bounds coincide there, so the constant is sharp).  Optional
-    methods that fail numerically are recorded as absent, never fatal.
+    ground bounds coincide there, so the constant is sharp).  rel_tol is
+    the Bessel maximization's tolerance.  A lower bound that fails
+    numerically is recorded as absent, never fatal.
     """
     n, a, d = query.n, query.a, query.d
     meta: dict = {}
@@ -336,7 +327,7 @@ def best_bounds(query: BoundQuery, options: BoundOptions = BoundOptions()) -> Bo
     from . import bessel_lb, fourier_lb  # deferred: those modules import bounds
 
     log_up = log_upper_bound(n, a, d)
-    upper = math.exp(log_up) if log_up < 709.0 else math.inf
+    upper = _exp_or_inf(log_up)
     weak = upper_bound_weak(n, a, d)
     weak2: float | None = None
     if query.regime is Regime.HIGH:
@@ -349,18 +340,16 @@ def best_bounds(query: BoundQuery, options: BoundOptions = BoundOptions()) -> Bo
     lowers: dict[str, float] = {"ground": ground}
 
     bessel: float | None = None
-    if options.with_bessel and query.regime is Regime.HIGH:
-        if n > options.bessel_max_n:
+    if query.regime is Regime.HIGH:
+        if n > _BESSEL_MAX_N:
             meta["bessel_unavailable"] = (
-                f"skipped for n > {options.bessel_max_n:g}: the fourier bound "
+                f"skipped for n > {_BESSEL_MAX_N:g}: the fourier bound "
                 "dominates exponentially and the trial maximization costs ~n "
                 "quadratures"
             )
         else:
             try:
-                bessel, lam_star, warns = bessel_lb.bessel_lower_detail(
-                    n, a, d, rel_tol=options.rel_tol, bracket=options.bessel_bracket
-                )
+                bessel, lam_star, warns = bessel_lb.bessel_lower_detail(n, a, d, rel_tol)
                 lowers["bessel"] = bessel
                 meta["bessel_lambda_star"] = lam_star
                 if warns:
@@ -369,7 +358,7 @@ def best_bounds(query: BoundQuery, options: BoundOptions = BoundOptions()) -> Bo
                 meta["bessel_unavailable"] = str(exc)
 
     fourier: float | None = None
-    if options.with_fourier and (query.regime is Regime.HIGH or n >= 0.5):
+    if query.regime is Regime.HIGH or n >= 0.5:
         try:
             fourier = fourier_lb.fourier_lower(n, a, d)
             lowers["fourier"] = fourier

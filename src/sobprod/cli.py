@@ -24,7 +24,7 @@ import sys
 import time
 
 from . import bounds, oracle
-from .bounds import BoundOptions, BoundQuery, BoundReport
+from .bounds import BoundQuery, BoundReport
 from .errors import (
     DomainError,
     NonConvergenceError,
@@ -163,14 +163,10 @@ def _emit(records: list[dict], fmt: str, out: io.TextIOBase, timing_ms: float | 
             out.write(f"  wall time: {timing_ms:.1f} ms\n")
 
 
-def _options_from_args(args: argparse.Namespace) -> BoundOptions:
-    return BoundOptions(rel_tol=args.rel_tol)
-
-
 def _cmd_bound(args: argparse.Namespace, out: io.TextIOBase) -> int:
     t0 = time.perf_counter()
     query = BoundQuery(args.n, args.a, args.d)
-    report = bounds.best_bounds(query, _options_from_args(args))
+    report = bounds.best_bounds(query, args.rel_tol)
     rec = _record_from_report("bound", report)
     ms = (time.perf_counter() - t0) * 1e3 if args.timing else None
     _emit([rec], args.format, out, ms)
@@ -183,7 +179,7 @@ def _cmd_table(args: argparse.Namespace, out: io.TextIOBase) -> int:
     t0 = time.perf_counter()
     records = []
     for d, a, n, plo, pup in _PAPER_TABLE:
-        report = bounds.best_bounds(BoundQuery(n, a, d), _options_from_args(args))
+        report = bounds.best_bounds(BoundQuery(n, a, d), args.rel_tol)
         rec = _record_from_report("table", report)
         rec["paper_lower"] = plo
         rec["paper_upper"] = pup
@@ -201,7 +197,7 @@ def _cmd_sweep(args: argparse.Namespace, out: io.TextIOBase) -> int:
     n = args.n_from
     while n <= args.n_to + 1e-12:
         try:
-            report = bounds.best_bounds(BoundQuery(n, args.a, args.d), _options_from_args(args))
+            report = bounds.best_bounds(BoundQuery(n, args.a, args.d), args.rel_tol)
             records.append(_record_from_report("sweep", report))
         except RegimeError as exc:
             if not args.skip_invalid:
@@ -224,15 +220,21 @@ def _oracle_checks(args: argparse.Namespace, grid: oracle.Grid) -> tuple[list[di
 
     n, a, d = args.n, args.a, args.d
     query = BoundQuery(n, a, d)
-    report = bounds.best_bounds(query, _options_from_args(args))
+    report = bounds.best_bounds(query, args.rel_tol)
     checks: list[dict] = []
 
-    def add(name: str, value: float, reference: float, tol: float) -> None:
-        rel = abs(value - reference) / max(abs(reference), 1e-300)
+    def add(
+        name: str, value: float, reference: float, tol: float, envelope: bool = False
+    ) -> None:
+        if envelope:  # value <= reference (1 + tol), with no relative error
+            rel, passed = None, value <= reference * (1.0 + tol)
+        else:
+            rel = abs(value - reference) / max(abs(reference), 1e-300)
+            passed = rel <= tol
         checks.append(
             {
                 "name": name,
-                "passed": bool(rel <= tol),
+                "passed": bool(passed),
                 "value": value,
                 "reference": reference,
                 "rel_error": rel,
@@ -259,29 +261,11 @@ def _oracle_checks(args: argparse.Namespace, grid: oracle.Grid) -> tuple[list[di
             ref = math.sqrt(bessel_lb.bessel_norm_n(bessel_lb.BesselTrial(lam, n, d)))
             add("bessel_norm", oracle.sobolev_norm(bt, n), ref, 0.01)
         ratio = oracle.product_ratio(bt, bt, n, a)
-        checks.append(
-            {
-                "name": "witness_ratio_within_upper",
-                "passed": bool(ratio <= report.upper * 1.02),
-                "value": ratio,
-                "reference": report.upper,
-                "rel_error": None,
-                "tolerance": 0.02,
-            }
-        )
+        add("witness_ratio_within_upper", ratio, report.upper, 0.02, envelope=True)
         if report.lower_bessel is not None and d <= 2:
             add("witness_ratio_vs_bessel_bound", ratio, report.lower_bessel, 0.02)
     gr = oracle.product_ratio(gf, gf, n, a)
-    checks.append(
-        {
-            "name": "gaussian_ratio_within_upper",
-            "passed": bool(gr <= report.upper * 1.02),
-            "value": gr,
-            "reference": report.upper,
-            "rel_error": None,
-            "tolerance": 0.02,
-        }
-    )
+    add("gaussian_ratio_within_upper", gr, report.upper, 0.02, envelope=True)
     ok = all(c["passed"] for c in checks)
     return checks, ok
 
@@ -327,7 +311,7 @@ def _cmd_oracle(args: argparse.Namespace, out: io.TextIOBase) -> int:
     best, witness = oracle.random_search_lower(
         args.n, args.a, args.d, budget=args.budget, seed=args.seed
     )
-    report = bounds.best_bounds(BoundQuery(args.n, args.a, args.d), _options_from_args(args))
+    report = bounds.best_bounds(BoundQuery(args.n, args.a, args.d), args.rel_tol)
     rec = {
         "command": "oracle-search",
         "query": {"n": args.n, "a": args.a, "d": args.d,

@@ -28,3 +28,9 @@ class ResolutionError(ValueError):
 
 class DecayError(ResolutionError):
     """Samples do not decay at the box boundary; norms would alias."""
+
+
+def check_dimension(d: float) -> None:
+    """Raise DomainError unless d is a positive integer (nan and inf are not)."""
+    if not (d >= 1 and d // 1 == d):  # inf // 1 is nan
+        raise DomainError(f"dimension must be a positive integer, got {d}")

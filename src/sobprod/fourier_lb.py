@@ -18,8 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bounds import Regime, _xlogx, classify_regime
-from .errors import DomainError, NonConvergenceError
+from .bounds import Regime, _exp_or_inf, _xlogx, classify_regime
+from .errors import DomainError, NonConvergenceError, check_dimension
 from .numerics import integrate_semiline
 
 __all__ = [
@@ -44,8 +44,7 @@ class GaussianTrial:
     d: int
 
     def __post_init__(self) -> None:
-        if self.d < 1 or int(self.d) != self.d:
-            raise DomainError(f"dimension must be a positive integer, got {self.d}")
+        check_dimension(self.d)
         if not (self.p > 0.0 and self.sigma > 0.0):
             raise DomainError(
                 f"trial needs p, sigma > 0, got p={self.p}, sigma={self.sigma}"
@@ -54,8 +53,7 @@ class GaussianTrial:
 
 def r_const(a: float, d: int) -> float:
     """R(a, d) = e^(-a/2) (2 pi)^(-d/4) sqrt(E(d/2) E(a - d/2))."""
-    if d < 1 or int(d) != d:
-        raise DomainError(f"dimension must be a positive integer, got {d}")
+    check_dimension(d)
     if not a > d / 2.0:
         raise DomainError(f"r_const requires a > d/2, got a={a}, d={d}")
     return math.exp(_log_r_const(a, d))
@@ -92,22 +90,27 @@ def _v_general(mu: float, n: float, a: float, d: int) -> float:
 
 
 def v_coeff(n: float, a: float, d: int) -> float:
-    """v(n, a, d): the finite-n factor of the closed-form bound; tends to 1."""
+    """v(n, a, d): the finite-n factor of the closed-form bound; tends to 1.
+
+    Written in t = 1/(n + a), so that no term overflows at finite n.
+    """
     _require_fourier_regime(n, a, d)
-    na = n + a
-    base = 1.0 - d / (2.0 * na) + d * d * a * n / (4.0 * (na * na) * (na * na))
-    ex = ((4.0 * a - d) * d * n + 2.0 * d * a * a) / (8.0 * na * na - 4.0 * d * n) - (
-        d * a * a
-    ) / (4.0 * na * na - 2.0 * d * a)
+    t = 1.0 / (n + a)
+    nt2 = n * t * t
+    dat2 = d * a * t * t
+    base = 1.0 - 0.5 * d * t + 0.25 * d * dat2 * nt2
+    ex = ((4.0 * a - d) * d * nt2 + 2.0 * a * dat2) / (8.0 - 4.0 * d * nt2) - a * dat2 / (
+        4.0 - 2.0 * dat2
+    )
     return base ** (d / 4.0) * math.exp(ex)
 
 
 def _log_fourier_lower(n: float, a: float, d: int) -> float:
     """log of fourier_lower; finite where the bound leaves the double range."""
-    _require_fourier_regime(n, a, d)
+    log_v = math.log(v_coeff(n, a, d))  # v_coeff checks (n, a, d) first
     return (
         _log_r_const(a, d)
-        + math.log(v_coeff(n, a, d))
+        + log_v
         + n * math.log(2.0)
         - (a / 2.0 + d / 4.0) * math.log(n + a)
     )
@@ -115,8 +118,7 @@ def _log_fourier_lower(n: float, a: float, d: int) -> float:
 
 def fourier_lower(n: float, a: float, d: int) -> float:
     """Closed-form lower bound R v 2^n / (n + a)^(a/2 + d/4) (log-safe)."""
-    lg = _log_fourier_lower(n, a, d)
-    return math.exp(lg) if lg < 709.0 else math.inf
+    return _exp_or_inf(_log_fourier_lower(n, a, d))
 
 
 def fourier_lower_weak(n: float, a: float, d: int) -> float:
@@ -126,13 +128,12 @@ def fourier_lower_weak(n: float, a: float, d: int) -> float:
             f"the weak fourier bound is stated for the high regime only, "
             f"got (n={n}, a={a}, d={d})"
         )
-    lg = (
+    return _exp_or_inf(
         _log_r_const(a, d)
         + (d / 4.0) * math.log(1.0 - d / (2.0 * a))
         + n * math.log(2.0)
         - (a / 2.0 + d / 4.0) * math.log(n + a)
     )
-    return math.exp(lg) if lg < 709.0 else math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +267,7 @@ def fourier_bound_at(p: float, sigma: float, n: float, a: float, d: int) -> floa
         )
     sn = n * sigma / (p * p)
     sa = a * sigma / (p * p)
-    lg = (
+    return _exp_or_inf(
         -(d / 4.0) * math.log(2.0 * math.pi)
         + (d / 4.0) * (math.log1p(-sn) + math.log1p(-sa))
         - (n * n * sigma / (2.0 * p * p)) / (1.0 - sn)
@@ -276,7 +277,6 @@ def fourier_bound_at(p: float, sigma: float, n: float, a: float, d: int) -> floa
         - a * math.log(p)
         + n * math.log(2.0)
     )
-    return math.exp(lg) if lg < 709.0 else math.inf
 
 
 def optimal_trial_parameters(n: float, a: float, d: int) -> tuple[float, float]:

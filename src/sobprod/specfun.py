@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, NonConvergenceError
+from .errors import DomainError, NonConvergenceError, check_dimension
 
 __all__ = [
     "ln_gamma",
@@ -591,8 +591,7 @@ def imbedding_constant(r: float, n: float, d: int) -> float:
     r may be any real in [2, inf] (math.inf accepted).  Outside the
     admissible (n, r) pairs a DomainError is raised.
     """
-    if d < 1 or int(d) != d:
-        raise DomainError(f"dimension must be a positive integer, got {d}")
+    check_dimension(d)
     if n < 0.0 or math.isnan(n):
         raise DomainError(f"imbedding_constant requires n >= 0, got {n}")
     if r < 2.0 or math.isnan(r):

@@ -145,7 +145,7 @@ class TestSquareNorm:
 
     def test_case_22_general_vs_arcsinh(self):
         trial = BesselTrial(1.35, 2.0, 2)
-        general = bessel_square_norm(trial, method="quadrature")
+        general = bessel_lb._square_norm_direct(trial.lam, trial.n, trial.d, 1e-9)
         closed = square_norm_closed_form(trial)
         assert_rel(general, closed, 1e-7, "ArcSinh dual path")
         # frozen independent reference (series/FFT evaluation of the integral)
@@ -155,7 +155,7 @@ class TestSquareNorm:
         for lam, n, d in [(0.8, 2.0, 2), (1.35, 2.0, 2), (1.5, 3.0, 1), (1.2, 2.0, 3)]:
             trial = BesselTrial(lam, n, d)
             fast = bessel_square_norm(trial)  # moment route for integer n
-            slow = bessel_square_norm(trial, method="quadrature")
+            slow = bessel_lb._square_norm_direct(lam, n, d, 1e-9)
             assert_rel(fast, slow, 1e-8, f"moments vs direct ({lam},{n},{d})")
 
     def test_rational_reduction_d1_n1(self):
@@ -236,9 +236,11 @@ class TestRatioAndLower:
 
 @pytest.fixture
 def hyp_calls(monkeypatch):
-    """(n, d, s, rel_tol) of every hypergeometric evaluation the F table makes."""
+    """(n, d, s, rel_tol) of every hypergeometric evaluation the F dicts
+    make, starting from no kept F values."""
     calls = []
     real = bessel_lb._hyp_value
+    bessel_lb._f_values.cache_clear()
 
     def counting(n, d, s, rel_tol):
         calls.append((n, d, s, rel_tol))
@@ -271,11 +273,11 @@ class TestFTable:
         lam, n, a, d = 1.9, 1.5, 1.2, 1
         cold = bessel_ratio(lam, n, a, d)
         cold_calls = len(hyp_calls)
-        with bessel_lb._F_TABLE.held():  # as in one maximization over lam
-            bessel_ratio(1.3, n, a, d)
-            bessel_ratio(2.4, n, a, d)
-            del hyp_calls[:]
-            warm = bessel_ratio(lam, n, a, d)
+        bessel_lb._f_values.cache_clear()
+        bessel_ratio(1.3, n, a, d)  # as in one maximization over lam
+        bessel_ratio(2.4, n, a, d)
+        del hyp_calls[:]
+        warm = bessel_ratio(lam, n, a, d)
         assert warm == cold
         assert len(hyp_calls) < cold_calls  # nodes of the other lam were reused
 
@@ -290,10 +292,10 @@ class TestFTable:
         trial = BesselTrial(1.9, 1.5, 1)
         cold = bessel_square_norm(trial, rel_tol=second)
         cold_calls = len(hyp_calls)
-        with bessel_lb._F_TABLE.held():
-            bessel_square_norm(trial, rel_tol=first)
-            del hyp_calls[:]
-            again = bessel_square_norm(trial, rel_tol=second)
+        bessel_lb._f_values.cache_clear()
+        bessel_square_norm(trial, rel_tol=first)
+        del hyp_calls[:]
+        again = bessel_square_norm(trial, rel_tol=second)
         assert again == cold
         assert len(hyp_calls) == cold_calls
         assert {tol for *_, tol in hyp_calls} == {second * 1e-2}

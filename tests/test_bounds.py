@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from sobprod import bounds
 from sobprod.bounds import (
-    BoundOptions,
     BoundQuery,
     Regime,
     best_bounds,
@@ -22,7 +21,7 @@ from sobprod.bounds import (
     upper_bound_weak,
     upper_bound_weak2,
 )
-from sobprod.errors import RegimeError
+from sobprod.errors import DomainError, RegimeError
 
 from conftest import assert_rel
 
@@ -48,6 +47,11 @@ class TestRegime:
         assert q.regime is Regime.HIGH
         with pytest.raises(RegimeError):
             BoundQuery(1.5, 2.0, 1)
+
+    @pytest.mark.parametrize("d", [math.nan, math.inf, 1.5, 0])
+    def test_dimension_must_be_positive_integer(self, d):
+        with pytest.raises(DomainError):
+            BoundQuery(2.0, 1.0, d)
 
 
 class TestSConst:
@@ -238,13 +242,6 @@ class TestBestBounds:
         assert rep.lower == max(
             rep.lower_ground, rep.lower_bessel, rep.lower_fourier
         )
-
-    def test_options_disable_methods(self):
-        rep = best_bounds(
-            BoundQuery(2.0, 2.0, 2), BoundOptions(with_bessel=False, with_fourier=False)
-        )
-        assert rep.lower_bessel is None and rep.lower_fourier is None
-        assert rep.method_of_best_lower == "ground"
 
     def test_fourier_skipped_below_half_in_low_regime(self):
         rep = best_bounds(BoundQuery(0.25, 2.0, 2))

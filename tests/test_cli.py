@@ -95,12 +95,20 @@ class TestBound:
         assert rec["method_of_best_lower"] == "fourier"
 
     def test_undefined_log2_field_prints(self, schema):
-        # at n = 1.7e308 the Fourier bound is NaN, so is its log2 field
+        # at n = 1.7e308 both bounds leave the double range but their logs
+        # do not; at n = 5e-324, log/n leaves it
         code, recs = run_json("bound", "--n", "1.7e308", "--a", "2", "--d", "2")
-        assert code == 0 and recs[0]["log2_lower_over_n"] is None
+        assert code == 0
+        assert math.isfinite(recs[0]["log2_lower_over_n"])
+        assert math.isfinite(recs[0]["log2_upper_over_n"])
         validate_records(schema, recs)
         code, text = run_cli("bound", "--n", "1.7e308", "--a", "2", "--d", "2")
-        assert code == 0 and "undefined <= log2(K)/n" in text
+        assert code == 0 and "undefined" not in text
+        assert "1.000000 <= log2(K)/n <= 1.000000" in text
+        code, recs = run_json("bound", "--n", "5e-324", "--a", "2", "--d", "2")
+        assert code == 0
+        assert recs[0]["log2_lower_over_n"] is None and recs[0]["log2_upper_over_n"] is None
+        validate_records(schema, recs)
 
     # with a close to n, u(n, a, d) of the second weak bound alone leaves
     # the double range from about n = a = 2050
