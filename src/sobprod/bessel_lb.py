@@ -29,30 +29,25 @@ The squared trial gives
     |f^2|_n^2 = 2 pi^(d/2) / (Gamma(d/2) lam^d)
                 * Gamma(2n - d/2)^2 / Gamma(2n)^2
                 * int_0^inf s^(d-1) (1 + 4 lam^2 s^2)^n
-                  F(2n - d/2, n, n + 1/2; -s^2)^2 ds
+                  F(2n - d/2, n, n + 1/2; -s^2)^2 ds.
 
-with the hypergeometric summed through the Pfaff-transformed series.  The
-integral is truncated where an analytic tail bound drops below 1e-12 of a
-coarse first pass; integrands assemble in log space so the
-(1 + 4 lam^2 s^2)^n growth never overflows.
+The integral is truncated where an analytic tail bound drops below 1e-12
+of a coarse first pass, at a power of two; integrands assemble in log
+space so the (1 + 4 lam^2 s^2)^n growth never overflows.  At non-integer
+n the norm and the ratio stay in logs: |f^2|_n^2 leaves the double range
+from about n = 110 on.
 
-F depends on neither lam nor the moment index, and the scan, coarse and
-fine passes bisect the same mapped interval, so they share most of their
-nodes.  Each distinct node is therefore summed once: F values live in a
-dict from node s to F per (n, d, rel_tol), and the few most recent such
-dicts are kept (_f_values), so every lam of one maximization and every
-moment of one set reads the same dict.  F is a pure function of its key
-and node, so a kept value is the value a fresh sum would give.  The fine
-pass of a direct square norm ends at its tail cutoff rounded up to a
-power of two: the cutoff depends on lam, and a lam-free set of interval
-ends lets the lam of one maximization bisect the same few intervals and
-meet the same nodes, where a cutoff of their own would give each lam
-nodes no other lam reads.
+At non-integer n the integral is taken directly, on lam-free quadrature
+rules that every lam of a maximization shares (bessel_direct).
 
-The lower bound maximizes the ratio |f^2|_n / (|f|_a |f|_n) over lam.
-For integer n the lam-dependence factors out of the hypergeometric
-integral, so the maximization reuses a small set of cached lam-free
-moments; every lam-free log-Gamma term of the norms is cached as well.
+For integer n the lam-dependence factors out of the integral: the
+maximization reuses the n + 1 lam-free moments of the binomial expansion
+of (1 + 4 lam^2 s^2)^n.  Their integrands read F from a dict per (n, d,
+rel_tol) (_f_values), so each distinct node is summed once per moment
+set, and far in the tail accept F at a looser tolerance (_hyp_value).
+
+The lower bound maximizes the ratio |f^2|_n / (|f|_a |f|_n) over lam;
+every lam-free log-Gamma term of the norms is cached.
 """
 
 from __future__ import annotations
@@ -62,6 +57,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import specfun
+from .bounds import _exp_or_inf
 from .errors import DomainError, NonConvergenceError, check_dimension
 from .numerics import integrate_semiline, maximize_scalar
 
@@ -201,14 +197,15 @@ def _log_cf_asymptotic(n: float, d: int) -> float:
 
 
 def _hyp_value(n: float, d: int, s: float, rel_tol: float) -> float:
-    """F(2n - d/2, n, n + 1/2; -s^2) with graded far-tail tolerance.
+    """F(2n - d/2, n, n + 1/2; -s^2) for the integer-n moments, with graded
+    far-tail tolerance.
 
     Tries a fast certified pass first; past the certified range the value
     is accepted once the error bound is below a loose relative tolerance
     or an absolute floor, both immaterial to the integral because the
     truncation point already caps the tail's share at 1e-12.
 
-    The integrands do not call this directly: they read F through
+    The moment integrands do not call this directly: they read F through
     _f_values, which calls it once per distinct node s.
     """
     a, b, c = _hyp_params(n, d)
@@ -229,11 +226,10 @@ def _hyp_value(n: float, d: int, s: float, rel_tol: float) -> float:
 def _f_values(n: float, d: int, rel_tol: float) -> dict[float, float]:
     """The F values summed so far at (n, d, rel_tol), by node s.
 
-    A query reads one key (every lam of a maximization, every moment of a
-    moment set), and the four most recent keys are kept.  A dict grows
-    only with the nodes its queries meet, a few hundred per query.
-    Threads may share a dict: a node is only ever written with the one
-    value F has there.
+    One moment set reads one key, and the four most recent keys are kept.
+    A dict grows only with the nodes its moment integrals meet.  Threads
+    may share a dict: a node is only ever written with the one value F
+    has there.
     """
     return {}
 
@@ -246,7 +242,7 @@ def _square_tail_cutoff(n: float, d: int, log_growth: float, log_coarse: float) 
     tail(S) = 2 * growth * C^2 * S^(d - 2n) / (2n - d).  S is rounded up
     to a power of two (at least 64, clamped to 1e13): any larger S keeps
     the bound, and lam-free ends let the lam of one maximization share
-    their fine-pass interval and F nodes (see module notes).
+    one quadrature rule (see module notes).
     """
     log_c2 = 2.0 * _log_cf_asymptotic(n, d)
     log_target = math.log(_TAIL_FRACTION) + log_coarse
@@ -257,57 +253,32 @@ def _square_tail_cutoff(n: float, d: int, log_growth: float, log_coarse: float) 
     return min(2.0 ** math.ceil(log2_s), 1e13)
 
 
-def bessel_square_norm(trial: BesselTrial, rel_tol: float = 1e-9) -> float:
-    """Squared H^n norm of the squared trial function.
+def bessel_square_norm(
+    trial: BesselTrial, rel_tol: float = 1e-9, log: bool = False
+) -> float:
+    """Squared H^n norm of the squared trial function, or its log with log.
 
     Integer n goes through cached lam-independent moments (the binomial
-    expansion of (1 + 4 lam^2 s^2)^n), other n through the direct per-lam
-    integral.  Both evaluate the hypergeometric through the
-    Pfaff-transformed series.
+    expansion of (1 + 4 lam^2 s^2)^n), other n through the direct
+    integral on lam-free quadrature rules.  The log stays finite where
+    the norm leaves the double range (from about n = 110 on).
     """
     n, d, lam = trial.n, trial.d, trial.lam
     if _is_integer(n):
-        return _square_norm_from_moments(lam, int(round(n)), d, rel_tol)
-    return _square_norm_direct(lam, n, d, rel_tol)
+        sq = _square_norm_from_moments(lam, int(round(n)), d, rel_tol)
+        return math.log(sq) if log else sq
+    from . import bessel_direct  # deferred: only non-integer n needs it
+
+    log_sq = bessel_direct.log_square_norm(lam, n, d, rel_tol)
+    return log_sq if log else _exp_or_inf(log_sq)
 
 
 def _square_norm_direct(lam: float, n: float, d: int, rel_tol: float) -> float:
-    """|f^2|_n^2 as the direct per-lam integral, at any n (the reference
-    for the moments at integer n)."""
-    lam2_4 = 4.0 * lam * lam
-    f_tol = rel_tol * 1e-2
-    fvals = _f_values(n, d, f_tol)
+    """|f^2|_n^2 as the direct integral, at any n (the reference for the
+    moments at integer n); inf beyond the double range."""
+    from . import bessel_direct
 
-    def log_f(s: float) -> float:
-        if s <= 0.0:
-            return -math.inf
-        fval = fvals.get(s)
-        if fval is None:
-            fval = fvals[s] = _hyp_value(n, d, s, f_tol)
-        if fval <= 0.0:
-            return -math.inf
-        return (
-            (d - 1.0) * math.log(s)
-            + n * math.log1p(lam2_4 * s * s)
-            + 2.0 * math.log(fval)
-        )
-
-    scan = [10.0 ** (-3 + 5 * i / 40.0) for i in range(41)]
-    lmax = max(log_f(s) for s in scan)
-    coarse = integrate_semiline(
-        lambda s: math.exp(log_f(s) - lmax), rel_tol=1e-6, upper=50.0
-    )
-    cutoff = _square_tail_cutoff(
-        n, d, 2.0 * n * math.log(2.0 * lam), lmax + math.log(max(coarse.value, 1e-300))
-    )
-    res = integrate_semiline(
-        lambda s: math.exp(log_f(s) - lmax), rel_tol=rel_tol, upper=cutoff
-    )
-    if not res.converged:
-        raise NonConvergenceError(
-            f"square-norm quadrature did not converge (lam={lam}, n={n}, d={d})"
-        )
-    return math.exp(_log_square_prefactor(lam, n, d) + lmax + math.log(res.value))
+    return _exp_or_inf(bessel_direct.log_square_norm(lam, n, d, rel_tol))
 
 
 @lru_cache(maxsize=16)
@@ -431,6 +402,11 @@ def bessel_ratio(lam: float, n: float, a: float, d: int, rel_tol: float = 1e-9) 
     if not (n >= a and a > d / 2.0):
         raise DomainError(f"bessel ratio needs n >= a > d/2, got (n={n}, a={a}, d={d})")
     trial = BesselTrial(lam, n, d)
+    if not _is_integer(n):
+        # in logs: |f^2|_n^2 leaves the double range from about n = 110 on
+        log_sq = bessel_square_norm(trial, rel_tol=rel_tol, log=True)
+        log_na = math.log(bessel_norm_a(trial, a))
+        return math.exp(0.5 * (log_sq - log_na - math.log(bessel_norm_n(trial))))
     sq = bessel_square_norm(trial, rel_tol=rel_tol)
     na = bessel_norm_a(trial, a)
     nn = bessel_norm_n(trial)

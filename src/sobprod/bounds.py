@@ -358,9 +358,12 @@ def best_bounds(query: BoundQuery, rel_tol: float = 1e-8) -> BoundReport:
                 meta["bessel_unavailable"] = str(exc)
 
     fourier: float | None = None
+    log_fourier = math.nan
     if query.regime is Regime.HIGH or n >= 0.5:
         try:
-            fourier = fourier_lb.fourier_lower(n, a, d)
+            # the fourier bound leaves the double range first; its log stays finite
+            log_fourier = fourier_lb._log_fourier_lower(n, a, d)
+            fourier = _exp_or_inf(log_fourier)
             lowers["fourier"] = fourier
             p_star, sigma_star = fourier_lb.optimal_trial_parameters(n, a, d)
             meta["fourier_p_star"] = p_star
@@ -370,10 +373,7 @@ def best_bounds(query: BoundQuery, rel_tol: float = 1e-8) -> BoundReport:
 
     method = max(lowers, key=lambda k: lowers[k])
     lower = lowers[method]
-    # the fourier bound leaves the double range first; its log stays finite
-    log_lower = (
-        fourier_lb._log_fourier_lower(n, a, d) if method == "fourier" else math.log(lower)
-    )
+    log_lower = log_fourier if method == "fourier" else math.log(lower)
     return BoundReport(
         query=query,
         upper=upper,

@@ -5,6 +5,11 @@ adaptive Gauss-Kronrod 7-15 rule, bisecting the interval with the largest
 error estimate.  Everything is deterministic: identical inputs produce
 bit-identical results, and the evaluation count is reported.
 
+One adaptive core (integrate_panels) serves integrate_semiline, whose f
+takes one point at a time, and callers that evaluate the 15 nodes of
+many panels as one array (gk15_nodes, gk15_panels) and start from a
+panel set of their own.
+
 The maximizer runs a coarse log-spaced pre-scan (which also flags
 multimodality), expands the bracket geometrically until an interior
 maximum is enclosed, then golden-section refines.
@@ -17,12 +22,17 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
+import numpy as np
+
 from .errors import BracketError, DomainError, NonConvergenceError
 
 __all__ = [
     "QuadratureResult",
     "MaximizerResult",
     "integrate_semiline",
+    "integrate_panels",
+    "gk15_nodes",
+    "gk15_panels",
     "maximize_scalar",
 ]
 
@@ -108,46 +118,114 @@ def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float
     return kron, max(err, 5e-16 * abs(kron))
 
 
-def _integrate_adaptive(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
+# _gk15's 15 nodes in its order (centre, minus side, plus side) with their
+# Kronrod and Gauss-7 weights, for panels evaluated as one array
+_X15 = np.array([0.0, *(-x for x in _XGK[:7]), *_XGK[:7]])
+_WK15 = np.array([_WGK[7], *_WGK[:7], *_WGK[:7]])
+_WG15 = np.array(
+    [_WG[3]] + 2 * [_WG[i // 2] if i % 2 == 1 else 0.0 for i in range(7)]
+)
+
+
+def gk15_nodes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The 15 Gauss-Kronrod nodes of each panel [lo, hi], one row per panel."""
+    return 0.5 * (lo + hi)[:, None] + (0.5 * (hi - lo))[:, None] * _X15
+
+
+def gk15_panels(
+    vals: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """_gk15 for many panels at once, from the integrand at gk15_nodes.
+
+    Returns (kronrod_values, error_estimates) with _gk15's error model.
+    """
+    half = 0.5 * (hi - lo)
+    kron_raw = (vals * _WK15).sum(axis=1)
+    reskh = 0.5 * kron_raw
+    resasc = (np.abs(vals - reskh[:, None]) * _WK15).sum(axis=1) * np.abs(half)
+    kron = kron_raw * half
+    err = np.abs(kron - (vals * _WG15).sum(axis=1) * half)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+    err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
+    return kron, np.maximum(err, 5e-16 * np.abs(kron))
+
+
+Panel = tuple[float, float, float, float]  # (lo, hi, value, error estimate)
+
+
+def integrate_panels(
+    panel: Callable[[list[tuple[float, float]]], list[tuple[float, float]]],
+    panels: list[Panel],
     rel_tol: float,
-    max_intervals: int,
-) -> QuadratureResult:
-    """Adaptive bisection on [a, b] driven by per-panel GK error estimates."""
-    value, err = _gk15(f, a, b)
-    evals = 15
+    max_intervals: int = 4000,
+    batch: bool = False,
+) -> tuple[QuadratureResult, list[Panel]]:
+    """Adaptive bisection from a set of GK15 panels, driven by their error
+    estimates.
+
+    panel(ends) returns (value, error estimate) of each panel (lo, hi) in
+    ends; panels holds the starting panels with theirs.  Each step
+    bisects the panel of largest error and evaluates both halves in one
+    call.  With batch, a step also bisects every other panel whose error
+    exceeds its share tol / (number of panels), so one call of panel
+    evaluates a whole level.  Returns the result and the final panels,
+    in no particular order.
+    """
     heap: list[tuple[float, int, float, float, float, float]] = []
-    counter = 0
-    heapq.heappush(heap, (-err, counter, a, b, value, err))
-    total = value
-    total_err = err
+    total = 0.0
+    total_err = 0.0
+    counter = -1
+    for lo, hi, val, e in panels:
+        counter += 1
+        heapq.heappush(heap, (-e, counter, lo, hi, val, e))
+        total += val
+        total_err += e
+    evals = 15 * len(panels)
+    stalled: list[Panel] = []
     stalled_err = 0.0  # error on intervals already at floating resolution
-    n_intervals = 1
+    n_intervals = len(panels)
     while heap and n_intervals < max_intervals:
         tol = rel_tol * max(abs(total), 1e-300)
         if total_err <= tol:
-            return QuadratureResult(total, total_err, True, evals)
+            break
         if stalled_err > tol:
             break  # unreachable accuracy: resolution-limited intervals dominate
-        _, _, lo, hi, val, e = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # cannot split further
-            stalled_err += e
+        popped = [heapq.heappop(heap)]
+        while (
+            batch
+            and heap
+            and -heap[0][0] > tol / n_intervals
+            and n_intervals + len(popped) < max_intervals
+        ):
+            popped.append(heapq.heappop(heap))
+        split, ends = [], []
+        for item in popped:
+            lo, hi = item[2], item[3]
+            mid = 0.5 * (lo + hi)
+            if mid <= lo or mid >= hi:  # cannot split further
+                stalled_err += item[5]
+                stalled.append(item[2:])
+                continue
+            split.append((lo, mid, hi, item[4], item[5]))
+            ends += ((lo, mid), (mid, hi))
+        if not split:
             continue
-        v1, e1 = _gk15(f, lo, mid)
-        v2, e2 = _gk15(f, mid, hi)
-        evals += 30
-        total += (v1 + v2) - val
-        total_err += (e1 + e2) - e
-        n_intervals += 1
-        counter += 1
-        heapq.heappush(heap, (-e1, counter, lo, mid, v1, e1))
-        counter += 1
-        heapq.heappush(heap, (-e2, counter, mid, hi, v2, e2))
+        halves = panel(ends)
+        evals += 15 * len(ends)
+        for i, (lo, mid, hi, val, e) in enumerate(split):
+            v1, e1 = halves[2 * i]
+            v2, e2 = halves[2 * i + 1]
+            total += (v1 + v2) - val
+            total_err += (e1 + e2) - e
+            n_intervals += 1
+            counter += 1
+            heapq.heappush(heap, (-e1, counter, lo, mid, v1, e1))
+            counter += 1
+            heapq.heappush(heap, (-e2, counter, mid, hi, v2, e2))
     tol = rel_tol * max(abs(total), 1e-300)
-    return QuadratureResult(total, total_err, total_err <= tol, evals)
+    final = [item[2:] for item in heap] + stalled
+    return QuadratureResult(total, total_err, total_err <= tol, evals), final
 
 
 def integrate_semiline(
@@ -177,7 +255,11 @@ def integrate_semiline(
         s = t / om
         return f(s) / (om * om)
 
-    return _integrate_adaptive(g, 0.0, t_hi, rel_tol, max_intervals)
+    def panel(ends: list[tuple[float, float]]) -> list[tuple[float, float]]:
+        return [_gk15(g, lo, hi) for lo, hi in ends]
+
+    first = (0.0, t_hi, *_gk15(g, 0.0, t_hi))
+    return integrate_panels(panel, [first], rel_tol, max_intervals)[0]
 
 
 def _golden_section(

@@ -13,9 +13,12 @@ Contents:
   log_binomial        log C(m, j) from three ln_gamma values
   log_binomials       log C(m, j) for j = 0..m, cached per m
   log_sum_exp         log of a sum of exponentials, overflow-safe
+  digamma             psi(x) for x > 0 (recurrence + asymptotic series)
   e_power             E(s) = s^s with E(0) = 1
   hyp2f1              Gauss 2F1 for z < 1, negative z through the Pfaff map,
                       cancelling branches re-summed in decimal
+  hyp2f1_rows         hyp2f1_with_error over an array of negative z, the
+                      first Pfaff branch summed for all of them at once
   bessel_k            Macdonald function K_nu (Temme series + continued
                       fraction, upward recurrence in the order)
   imbedding_constant  sharp-form H^n -> L^r imbedding constants
@@ -38,6 +41,8 @@ __all__ = [
     "log_sum_exp",
     "e_power",
     "hyp2f1",
+    "hyp2f1_rows",
+    "digamma",
     "bessel_k",
     "imbedding_constant",
 ]
@@ -94,6 +99,24 @@ def log_sum_exp(logs: list[float]) -> float:
     """log sum exp(x) over logs, shifted by the largest so no term overflows."""
     m = max(logs)
     return m + math.log(sum(math.exp(x - m) for x in logs))
+
+
+def digamma(x: float) -> float:
+    """psi(x) = Gamma'(x)/Gamma(x) for x > 0: the recurrence psi(x) =
+    psi(x + 1) - 1/x up to x >= 20, then the asymptotic series, whose
+    first omitted term is below 1e-17 there."""
+    if not x > 0.0 or math.isnan(x):
+        raise DomainError(f"digamma requires x > 0, got {x}")
+    shift = 0.0
+    while x < 20.0:
+        shift += 1.0 / x
+        x += 1.0
+    r = 1.0 / (x * x)
+    series = r * (
+        1.0 / 12.0
+        - r * (1.0 / 120.0 - r * (1.0 / 252.0 - r * (1.0 / 240.0 - r / 132.0)))
+    )
+    return math.log(x) - 0.5 / x - series - shift
 
 
 def e_power(s: float) -> float:
@@ -192,6 +215,60 @@ def _hyp_series(
         if tail + roundoff <= target or (roundoff > target / 2.0 and tail <= target):
             break
     return total, tail, absum, k0
+
+
+def _hyp_series_rows(
+    a: float, b: float, c: float, w: np.ndarray, rtol: float, max_terms: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """_hyp_series at every argument of w, summed as rows of one array.
+
+    Row i holds exactly the floats _hyp_series(a, b, c, w[i], rtol,
+    max_terms) holds: the rows take the same blocks, and each row leaves
+    the sum at the block where the scalar pass stops.  Returns the four
+    outputs of _hyp_series as arrays.
+    """
+    nterm = _pochhammer_terminates(a)
+    nterm_b = _pochhammer_terminates(b)
+    if nterm is None or (nterm_b is not None and nterm_b < nterm):
+        nterm = nterm_b
+    delta = c - a - b
+    rows = w.shape[0]
+    total, absum, term = np.ones(rows), np.ones(rows), np.ones(rows)
+    tail, count = np.full(rows, math.inf), np.zeros(rows, dtype=int)
+    live = np.arange(rows)
+    k0 = 0
+    block_size = 64
+    while k0 < max_terms and live.size:
+        block = min(block_size, max_terms - k0)
+        block_size = min(4 * block_size, _HYP_BLOCK)
+        if nterm is not None:
+            block = min(block, nterm - k0 + 1)
+        k = np.arange(k0, k0 + block, dtype=float)
+        ratios = (a + k) * (b + k) / ((c + k) * (1.0 + k)) * w[live, None]
+        terms = term[live, None] * np.cumprod(ratios, axis=1)
+        tot = total[live] + terms.sum(axis=1)
+        asum = absum[live] + np.abs(terms).sum(axis=1)
+        last = terms[:, -1]
+        k0 += block
+        total[live], absum[live], term[live], count[live] = tot, asum, last, k0
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            blown = ~np.isfinite(last) | (asum > 1e290)
+            ended = (nterm is not None and k0 > nterm) | (last == 0.0)
+            rho = np.abs(ratios[:, -1])
+            if delta > 0.0 and k0 > max(64, 4.0 * (abs(a) + abs(b))):
+                far = 4.0 * np.abs(last) * k0 / delta
+            else:
+                far = math.inf
+            tl = np.where(rho < 1.0, np.abs(last) * rho / (1.0 - rho), far)
+            tl = np.where(ended, 0.0, tl)
+            target = rtol * np.maximum(np.abs(tot), 1e-300)
+            roundoff = _ROUNDOFF * asum
+            met = (tl + roundoff <= target) | ((roundoff > target / 2.0) & (tl <= target))
+        tl[blown] = math.inf
+        absum[live[blown]] = math.inf
+        tail[live] = tl
+        live = live[~(blown | ended | met)]
+    return total, tail, absum, count
 
 
 # Decimal re-sum of a cancelling Pfaff branch.  A decimal term costs about
@@ -355,6 +432,43 @@ def _pfaff_resum(
     return val, err_f
 
 
+def _pfaff_candidates(a: float, b: float, c: float) -> list[tuple[float, float]]:
+    """Pfaff branches (a_out, kept), each (1 - z)^(-kept) F(c - a_out, kept, c;
+    z/(z - 1)), in the order hyp2f1_with_error tries them."""
+    candidates = [(a, b), (b, a)]
+    # a terminating branch is short and has no truncation error; try it first
+    if _pochhammer_terminates(c - b) is not None and _pochhammer_terminates(c - a) is None:
+        candidates.reverse()
+    return candidates
+
+
+def _pfaff_value(
+    a: float, b: float, c: float, z: float, kept: float, sval: float, err: float
+) -> tuple[float, float]:
+    """(1 - z)^(-kept) times a Pfaff series value and its error bound.
+
+    The prefactor is assembled in log space, since (1 - z)^(-kept) alone
+    can under- or overflow.
+    """
+    ln_pref = -kept * math.log1p(-z)
+    if sval != 0.0 and math.isfinite(sval):
+        try:
+            val = math.copysign(math.exp(ln_pref + math.log(abs(sval))), sval)
+        except OverflowError:
+            raise NonConvergenceError(
+                f"hyp2f1 value leaves the double range for "
+                f"(a,b,c,z)=({a},{b},{c},{z}): log|F| ~ {ln_pref + math.log(abs(sval)):.6g}"
+            ) from None
+    else:
+        val = 0.0
+    if err != 0.0 and math.isfinite(err):
+        try:
+            err = math.exp(ln_pref + math.log(err))
+        except OverflowError:
+            err = math.inf  # a bound beyond the double range meets no rel_tol
+    return val, err
+
+
 def hyp2f1_with_error(
     a: float,
     b: float,
@@ -390,34 +504,12 @@ def hyp2f1_with_error(
         val, tail, absum, _ = _hyp_series(a, b, c, z, rel_tol, max_terms)
         return val, tail + _ROUNDOFF * absum
     w = z / (z - 1.0)
-    # branch (a_out, kept) is (1 - z)^(-kept) F(c - a_out, kept, c; w)
-    candidates = [(a, b), (b, a)]
-    # a terminating branch is short and has no truncation error; try it first
-    if _pochhammer_terminates(c - b) is not None and _pochhammer_terminates(c - a) is None:
-        candidates.reverse()
     best: tuple[float, float] | None = None
     resum = []
-    for a_out, kept in candidates:
+    for a_out, kept in _pfaff_candidates(a, b, c):
         ser = _hyp_series(c - a_out, kept, c, w, rel_tol, max_terms)
         sval, tail, absum, terms = ser
-        err = tail + _ROUNDOFF * absum
-        # assemble prefactor in log space; (1-z)^(-kept) alone can under/overflow
-        ln_pref = -kept * math.log1p(-z)
-        if sval != 0.0 and math.isfinite(sval):
-            try:
-                val = math.copysign(math.exp(ln_pref + math.log(abs(sval))), sval)
-            except OverflowError:
-                raise NonConvergenceError(
-                    f"hyp2f1 value leaves the double range for "
-                    f"(a,b,c,z)=({a},{b},{c},{z}): log|F| ~ {ln_pref + math.log(abs(sval)):.6g}"
-                ) from None
-        else:
-            val = 0.0
-        if err != 0.0 and math.isfinite(err):
-            try:
-                err = math.exp(ln_pref + math.log(err))
-            except OverflowError:
-                err = math.inf  # a bound beyond the double range meets no rel_tol
+        val, err = _pfaff_value(a, b, c, z, kept, sval, tail + _ROUNDOFF * absum)
         if err <= rel_tol * max(abs(val), 1e-300):
             return val, err
         if best is None or err < best[1]:
@@ -430,6 +522,40 @@ def hyp2f1_with_error(
             return out
     assert best is not None
     return best
+
+
+def hyp2f1_rows(
+    a: float,
+    b: float,
+    c: float,
+    z: np.ndarray,
+    rel_tol: float = 1e-12,
+    max_terms: int = 500_000,
+) -> tuple[np.ndarray, np.ndarray]:
+    """hyp2f1_with_error at every argument of the array z < 0, as
+    (values, abs_error_bounds), each entry the same float the scalar call
+    returns.
+
+    The first Pfaff branch is summed for all arguments at once
+    (_hyp_series_rows); an argument where it misses rel_tol takes the
+    scalar call, which tries the other branch and the decimal re-sum.
+    """
+    if not np.all(z < 0.0):
+        raise DomainError("hyp2f1_rows takes negative arguments only")
+    if _pochhammer_terminates(c) is not None:
+        raise DomainError(f"hyp2f1: c must not be a non-positive integer, got c={c}")
+    a_out, kept = _pfaff_candidates(a, b, c)[0]
+    w = z / (z - 1.0)
+    sval, tail, absum, _ = _hyp_series_rows(c - a_out, kept, c, w, rel_tol, max_terms)
+    vals, errs = np.empty(z.shape), np.empty(z.shape)
+    for i, zi in enumerate(z.tolist()):
+        val, err = _pfaff_value(
+            a, b, c, zi, kept, float(sval[i]), float(tail[i] + _ROUNDOFF * absum[i])
+        )
+        if not err <= rel_tol * max(abs(val), 1e-300):
+            val, err = hyp2f1_with_error(a, b, c, zi, rel_tol, max_terms)
+        vals[i], errs[i] = val, err
+    return vals, errs
 
 
 def hyp2f1(

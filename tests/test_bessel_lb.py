@@ -1,9 +1,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
-from sobprod import bessel_lb, specfun
+from sobprod import bessel_direct, bessel_lb, specfun
 from sobprod.bessel_lb import (
     BesselTrial,
     bessel_lower,
@@ -236,8 +237,8 @@ class TestRatioAndLower:
 
 @pytest.fixture
 def hyp_calls(monkeypatch):
-    """(n, d, s, rel_tol) of every hypergeometric evaluation the F dicts
-    make, starting from no kept F values."""
+    """(n, d, s, rel_tol) of every hypergeometric evaluation the moment F
+    dicts make, starting from no kept F values."""
     calls = []
     real = bessel_lb._hyp_value
     bessel_lb._f_values.cache_clear()
@@ -248,6 +249,28 @@ def hyp_calls(monkeypatch):
 
     monkeypatch.setattr(bessel_lb, "_hyp_value", counting)
     return calls
+
+
+def _clear_rules():
+    bessel_direct._rule.cache_clear()
+    bessel_direct._scan.cache_clear()
+
+
+@pytest.fixture
+def f_nodes(monkeypatch):
+    """(n, d, s, rel_tol) of every node at which the direct square norm
+    evaluates F, starting from no kept quadrature rules."""
+    nodes = []
+    real = bessel_direct._log_f
+    _clear_rules()
+
+    def counting(n, d, s, rel_tol):
+        nodes.extend((n, d, float(si), rel_tol) for si in s)
+        return real(n, d, s, rel_tol)
+
+    monkeypatch.setattr(bessel_direct, "_log_f", counting)
+    yield nodes
+    _clear_rules()
 
 
 class TestFTable:
@@ -269,33 +292,83 @@ class TestFTable:
         assert len(evaluations) == 26
         assert sum(evaluations) > 10 * len(nodes)
 
-    def test_ratio_same_cold_and_warm(self, hyp_calls):
+    def test_ratio_same_cold_and_warm(self, f_nodes):
         lam, n, a, d = 1.9, 1.5, 1.2, 1
         cold = bessel_ratio(lam, n, a, d)
-        cold_calls = len(hyp_calls)
-        bessel_lb._f_values.cache_clear()
+        cold_nodes = len(f_nodes)
+        _clear_rules()
         bessel_ratio(1.3, n, a, d)  # as in one maximization over lam
         bessel_ratio(2.4, n, a, d)
-        del hyp_calls[:]
+        del f_nodes[:]
         warm = bessel_ratio(lam, n, a, d)
         assert warm == cold
-        assert len(hyp_calls) < cold_calls  # nodes of the other lam were reused
+        assert len(f_nodes) < cold_nodes  # the rules of the other lam were reused
 
-    def test_maximization_lam_share_nodes(self, hyp_calls):
-        # every lam bisects one of a few power-of-two intervals; with a
-        # cutoff of its own each lam summed F afresh (8921 nodes)
+    def test_maximization_lam_share_nodes(self, f_nodes):
+        # every lam reads one of a few lam-free rules; with a quadrature of
+        # its own each lam summed F afresh (8921 nodes)
         bessel_lower_detail(2.8, 1.05, 1)
-        assert len(hyp_calls) < 1500
+        assert len(f_nodes) < 1500
 
     @pytest.mark.parametrize("first,second", [(1e-9, 1e-7), (1e-7, 1e-9)])
-    def test_table_not_reused_across_tolerances(self, hyp_calls, first, second):
+    def test_table_not_reused_across_tolerances(self, f_nodes, first, second):
         trial = BesselTrial(1.9, 1.5, 1)
         cold = bessel_square_norm(trial, rel_tol=second)
-        cold_calls = len(hyp_calls)
-        bessel_lb._f_values.cache_clear()
+        cold_nodes = len(f_nodes)
+        _clear_rules()
         bessel_square_norm(trial, rel_tol=first)
-        del hyp_calls[:]
+        del f_nodes[:]
         again = bessel_square_norm(trial, rel_tol=second)
         assert again == cold
-        assert len(hyp_calls) == cold_calls
-        assert {tol for *_, tol in hyp_calls} == {second * 1e-2}
+        assert len(f_nodes) == cold_nodes
+        assert {tol for *_, tol in f_nodes} == {second * 1e-2}
+
+
+def _mp_log_f(mp, n, d, s):
+    n = mp.mpf(n)
+    return float(mp.log(mp.hyp2f1(2 * n - mp.mpf(d) / 2, n, n + 0.5, -mp.mpf(s) ** 2)))
+
+
+class TestFKernels:
+    @pytest.mark.parametrize("delta", [0.05, 0.2, 0.95, 1.98, 0.5, 1.0, 2.0])
+    def test_connection_formula_against_mpmath(self, mp, delta):
+        # delta = n - d/2 near an integer cancels the two terms in part, an
+        # integer delta takes the logarithmic case (DLMF 15.8.8)
+        rng = random.Random(int(delta * 100))
+        rel_tol = 1e-11
+        for d in (1, 2, 3):
+            n = d / 2.0 + delta + rng.choice((0, 1, 3))
+            if n == round(n):
+                continue  # integer n takes the moment path
+            s = np.exp(np.sort([rng.uniform(math.log(3.0), math.log(1e6)) for _ in range(8)]))
+            log_f, err = bessel_direct._log_f_connection(n, d, s, rel_tol)
+            assert np.all(err <= rel_tol), (n, d, s, err)
+            for si, lf, bound in zip(s, log_f, err):
+                assert abs(lf - _mp_log_f(mp, n, d, si)) <= bound, (n, d, si)
+
+    def test_batched_f_equals_scalar_bit_for_bit(self):
+        rng = random.Random(11)
+        for _ in range(12):
+            d = rng.choice((1, 2, 3))
+            n = rng.uniform(d / 2.0 + 0.05, 12.0)
+            a, b, c = bessel_direct._hyp_params(n, d)
+            s = np.array([rng.uniform(1e-3, 3.0) for _ in range(15)])
+            vals, errs = specfun.hyp2f1_rows(a, b, c, -s * s, 1e-11, 120_000)
+            for si, val, err in zip(s.tolist(), vals.tolist(), errs.tolist()):
+                assert (val, err) == specfun.hyp2f1_with_error(
+                    a, b, c, -si * si, 1e-11, 120_000
+                )
+
+    @pytest.mark.parametrize(
+        "n,d,lam,ref",
+        [
+            (1.05, 1, 1.6618480718181483, 7.53756488868388),
+            (1.2, 1, 1.9863787972295897, 6.17239637678875),
+        ],
+    )
+    def test_square_norm_near_half_d_against_mpmath(self, n, d, lam, ref):
+        # references from mpmath quadrature of the defining integral; n is
+        # within 0.55 and 0.7 of d/2, where the far tail used to cost 1e5
+        # series terms per node
+        got = bessel_square_norm(BesselTrial(lam, n, d))
+        assert_rel(got, ref, 1e-12)

@@ -158,6 +158,17 @@ class TestTotality:
                         json.loads(text, parse_constant=_reject_constant)
         assert time.perf_counter() - t0 < 5.0
 
+    @pytest.mark.parametrize("n,a,d", [("110.5", "1", "1"), ("149.5", "2", "2")])
+    def test_noninteger_n_up_to_the_cap(self, n, a, d):
+        # |f^2|_n^2 leaves the double range from n = 110.5 on; the direct
+        # square norm and the ratio at non-integer n work in logs
+        code, text = run_cli("bound", "--n", n, "--a", a, "--d", d, "--format", "json")
+        assert code == 0
+        rec = json.loads(text, parse_constant=_reject_constant)
+        assert rec["lower"] <= rec["upper"]
+        if rec["lower_bessel"] is not None:
+            assert rec["lower_bessel"] <= rec["lower"]
+
 
 class TestTable:
     def test_paper_preset_brackets(self):

@@ -4,6 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
+from sobprod import numerics
 from sobprod.errors import BracketError
 from sobprod.numerics import integrate_semiline, maximize_scalar
 
@@ -55,6 +58,36 @@ class TestIntegrateSemiline:
         res = integrate_semiline(lambda s: math.exp(-s) * math.sin(s) ** 2, rel_tol=1e-10)
         assert res.converged
         assert res.abs_error_estimate <= 1e-10 * max(1.0, abs(res.value))
+
+    def test_array_panels_match_scalar_panels(self):
+        # the scalar _gk15 is the reference; the array form sums in another
+        # order, so values agree to a few ulp
+        lo = np.array([0.0, 0.3, 0.9, 2.0])
+        hi = np.array([0.3, 0.9, 2.0, 7.5])
+        f = lambda t: np.exp(-t) * np.sin(3.0 * t) ** 2 + 1.0 / (1.0 + t)
+        kron, err = numerics.gk15_panels(f(numerics.gk15_nodes(lo, hi)), lo, hi)
+        for i in range(len(lo)):
+            ref_k, ref_e = numerics._gk15(lambda t: float(f(t)), lo[i], hi[i])
+            assert_rel(kron[i], ref_k, 1e-14)
+            assert_rel(err[i], ref_e, 1e-6)
+
+    def test_batched_panels_from_a_panel_set(self):
+        # starting from four panels and bisecting a level per call gives the
+        # integral the scalar protocol gives
+        def panel(ends):
+            lo, hi = np.array(ends).T
+            t = numerics.gk15_nodes(lo, hi)
+            kron, err = numerics.gk15_panels(np.exp(-t) / np.sqrt(t), lo, hi)
+            return list(zip(kron.tolist(), err.tolist()))
+
+        edges = [0.0, 0.5, 1.0, 4.0, 30.0]
+        start = [(a, b, *panel([(a, b)])[0]) for a, b in zip(edges, edges[1:])]
+        res, panels = numerics.integrate_panels(panel, start, 1e-11, batch=True)
+        assert res.converged
+        assert_rel(res.value, math.sqrt(math.pi) * math.erf(math.sqrt(30.0)), 1e-11)
+        panels.sort()
+        assert panels[0][0] == 0.0 and panels[-1][1] == 30.0
+        assert all(p[1] == q[0] for p, q in zip(panels, panels[1:]))
 
     @given(
         st.floats(min_value=0.0, max_value=3.0),

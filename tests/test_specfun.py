@@ -38,6 +38,11 @@ class TestLnGamma:
             ref = math.lgamma(x)
             assert_abs(specfun.ln_gamma(x), ref, max(1e-13, 4.5e-16 * ref))
 
+    def test_digamma_against_mpmath(self, mp):
+        for x in [0.05, 0.5, 1.0, 1.5, 2.7, 19.9, 20.0, 101.5, 1e4]:
+            tol = 1e-14 * (1.0 + abs(math.log(x)))
+            assert_abs(specfun.digamma(x), float(mp.digamma(x)), tol)
+
     def test_recurrence(self):
         # Gamma(x + 1) = x Gamma(x) across half-integers up to 20.5
         for k in range(21):
