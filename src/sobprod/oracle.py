@@ -8,6 +8,14 @@ weighted l^2 sums over the grid frequencies.  This approximates
 whole-space norms only when the samples decay at the box boundary, which
 every norm operation checks.
 
+A radial trial is evaluated once per distinct lattice radius: every grid
+point x = h j has |x|^2 = h^2 (j_1^2 + ... + j_d^2), so K_nu runs once on
+the array of distinct integer sums and the grid gathers from that table.
+A GridFunction's samples are read-only, so its transform, its decay check
+and its norm per exponent are computed once and reused by every ratio that
+reads them.  A norm whose FFT roundoff, weighted by (1 + |k|^2)^n, is no
+longer small against it raises ResolutionError instead of returning noise.
+
 Nothing here proves anything: grid ratios validate the ordering of the
 analytic bounds within a documented discretization tolerance.
 """
@@ -15,7 +23,7 @@ analytic bounds within a documented discretization tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -37,6 +45,10 @@ __all__ = [
 ]
 
 _DECAY_FACTOR = 1e-10
+_EPS = 2.220446049250313e-16
+# largest share of the weighted sum (the squared norm) the FFT roundoff
+# floor may make up before the norm is reported unresolved
+_ROUNDOFF_SHARE = 0.005
 
 # defaults giving ~1% norm accuracy for the trial families (heavier in low d);
 # the d=3 half width is set so exp(-lam L) trial tails clear the decay check
@@ -77,11 +89,22 @@ class Grid:
         k[n // 2] = -k[n // 2]
         return k
 
+    @property
+    def offsets(self) -> np.ndarray:
+        """The integer j of each axis point x = h j (i - N/2 for x = -L + h i)."""
+        return np.arange(self.points_per_axis) - self.points_per_axis // 2
+
+    @property
+    def lattice_sq(self) -> np.ndarray:
+        """j_1^2 + ... + j_d^2 over the full grid: |x|^2 is h^2 times it."""
+        j = self.offsets
+        mesh = np.meshgrid(*([j * j] * self.d), indexing="ij", sparse=True)
+        return sum(mesh)
+
     @cached_property
     def radius(self) -> np.ndarray:
-        """|x| over the full grid."""
-        mesh = np.meshgrid(*([self.axis] * self.d), indexing="ij", sparse=True)
-        return np.sqrt(sum(x * x for x in mesh))
+        """|x| = sqrt(h^2 m) over the full grid, m = lattice_sq."""
+        return np.sqrt(self.spacing * self.spacing * self.lattice_sq)
 
     @cached_property
     def k_squared(self) -> np.ndarray:
@@ -100,8 +123,12 @@ def default_grid(d: int, points_per_axis: int | None = None, half_width: float |
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
+    """Read-only samples on a grid, with the values derived from them kept:
+    the transform, the decay check and the norm per exponent."""
+
     grid: Grid
     values: np.ndarray
+    _norms: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         expected = (self.grid.points_per_axis,) * self.grid.d
@@ -114,7 +141,6 @@ class GridFunction:
             raise DomainError("samples must be finite")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "_transform_sq_cache", None)
 
     def boundary_max(self) -> float:
         out = 0.0
@@ -126,12 +152,30 @@ class GridFunction:
             )
         return out
 
+    @cached_property
+    def _edge_and_peak(self) -> tuple[float, float]:
+        """(boundary_max, max |f|) for the decay check."""
+        return self.boundary_max(), float(np.max(np.abs(self.values)))
+
+    @cached_property
+    def transform_sq(self) -> np.ndarray:
+        """|continuum Fourier transform|^2 on the grid frequencies.
+
+        The transform carries the (2 pi)^(-d/2) normalization and the h^d
+        Riemann factor; the grid-offset phases drop because only the
+        modulus enters the norms.
+        """
+        g = self.grid
+        fhat = np.fft.fftn(self.values)
+        fhat *= (g.spacing / math.sqrt(2.0 * math.pi)) ** g.d
+        # a copy, so the complex product is not kept alive under the view
+        return (fhat * np.conj(fhat)).real.copy()
+
 
 def _check_decay(gf: GridFunction) -> None:
-    peak = float(np.max(np.abs(gf.values)))
+    edge, peak = gf._edge_and_peak
     if peak == 0.0:
         return
-    edge = gf.boundary_max()
     if edge > _DECAY_FACTOR * peak:
         raise DecayError(
             f"samples do not decay at the box boundary: edge/peak = "
@@ -152,25 +196,19 @@ def _bessel_radial_profile(lam: float, n: float, d: int, r: np.ndarray) -> np.nd
         return math.sqrt(math.pi / 2.0) * np.exp(-z)
     if (n, d) == (2.0, 3):
         return math.sqrt(math.pi / 8.0) * np.exp(-z)
+    out = np.empty_like(z)
+    zero = z == 0.0
+    zu = z[~zero]
     if (n, d) == (2.0, 2):
-        out = np.empty_like(z)
-        zero = z == 0.0
         out[zero] = 0.5  # z K_1(z) -> 1 as z -> 0
-        zu, inv = np.unique(z[~zero], return_inverse=True)
-        kv = np.array([specfun.bessel_k(1.0, float(t)) for t in zu])
-        out[~zero] = 0.5 * z[~zero] * kv[inv]
+        out[~zero] = 0.5 * zu * specfun.bessel_k(1.0, zu)
         return out
     nu = n - d / 2.0
     log_norm = -(n - 1.0) * math.log(2.0) - specfun.ln_gamma(n)
-    out = np.empty_like(z)
-    zero = z == 0.0
     # finite limit: z^nu K_nu(z) -> 2^(nu-1) Gamma(nu)
     out[zero] = math.exp((nu - 1.0) * math.log(2.0) + specfun.ln_gamma(nu) + log_norm)
-    zu, inv = np.unique(z[~zero], return_inverse=True)
-    kv = np.array(
-        [math.exp(nu * math.log(t) + log_norm) * specfun.bessel_k(nu, float(t)) for t in zu]
-    )
-    out[~zero] = kv[inv]
+    scale = np.array([math.exp(nu * math.log(t) + log_norm) for t in zu.tolist()])
+    out[~zero] = scale * specfun.bessel_k(nu, zu)
     return out
 
 
@@ -182,8 +220,19 @@ def sample_bessel_trial(lam: float, n: float, d: int, grid: Grid) -> GridFunctio
         raise DomainError(f"bessel trial needs n > d/2, got n={n}, d={d}")
     if not lam > 0.0:
         raise DomainError(f"lam must be positive, got {lam}")
-    vals = _bessel_radial_profile(lam, n, d, grid.radius)
-    return GridFunction(grid, vals.astype(complex))
+    # one profile value per distinct radius, keyed by |j| in d = 1 (the
+    # lattice square j^2 would make a sparse table) and by m = lattice_sq
+    if d == 1:
+        key = np.abs(grid.offsets)
+    else:
+        key = grid.lattice_sq
+    present = np.zeros(int(key.max()) + 1, dtype=bool)
+    present[key] = True
+    keys = np.flatnonzero(present)
+    m = keys * keys if d == 1 else keys
+    table = np.empty(present.size)
+    table[keys] = _bessel_radial_profile(lam, n, d, np.sqrt(grid.spacing * grid.spacing * m))
+    return GridFunction(grid, table[key].astype(complex))
 
 
 def sample_gaussian_trial(p: float, sigma: float, d: int, grid: Grid) -> GridFunction:
@@ -216,33 +265,46 @@ def sample_gaussian_trial(p: float, sigma: float, d: int, grid: Grid) -> GridFun
 # ---------------------------------------------------------------------------
 
 
-def _transform_sq(gf: GridFunction) -> np.ndarray:
-    """|continuum Fourier transform|^2 on the grid frequencies (cached).
-
-    The transform carries the (2 pi)^(-d/2) normalization and the h^d
-    Riemann factor; the grid-offset phases drop because only the modulus
-    enters the norms.
-    """
-    cached = getattr(gf, "_transform_sq_cache")
-    if cached is not None:
-        return cached
-    g = gf.grid
-    scale = (g.spacing / math.sqrt(2.0 * math.pi)) ** g.d
-    fhat = np.fft.fftn(gf.values) * scale
-    out = (fhat * np.conj(fhat)).real
-    object.__setattr__(gf, "_transform_sq_cache", out)
-    return out
-
-
 def sobolev_norm(gf: GridFunction, n: float) -> float:
-    """Discrete H^n norm: sqrt(sum (1 + |k|^2)^n |Fhat|^2 dk^d)."""
+    """Discrete H^n norm: sqrt(sum (1 + |k|^2)^n |Fhat|^2 dk^d), computed
+    once per (function, exponent)."""
     if n < 0.0 or math.isnan(n):
         raise DomainError(f"sobolev_norm requires n >= 0, got {n}")
+    norm = gf._norms.get(n)
+    if norm is None:
+        norm = gf._norms[n] = _weighted_norm(gf, n)
+    return norm
+
+
+def _weighted_norm(gf: GridFunction, n: float) -> float:
+    """sobolev_norm without the cache.
+
+    Raises ResolutionError when FFT roundoff, weighted by (1 + |k|^2)^n,
+    could make up more than _ROUNDOFF_SHARE of the weighted sum.  The
+    roundoff floor per coefficient is eps sqrt(log2 N^d) times the rms
+    coefficient (a random walk over the butterfly stages).  On Gaussians,
+    whose true transform near k_max is far below it, it sits 3x to 5x
+    above the noise the FFT leaves there, on all five grids the CLI uses.
+    """
     _check_decay(gf)
     g = gf.grid
     dk = math.pi / g.half_width
-    weighted = (1.0 + g.k_squared) ** n * _transform_sq(gf)
-    return math.sqrt(float(weighted.sum()) * dk**g.d)
+    tsq = gf.transform_sq
+    weights = 1.0 + g.k_squared
+    weights **= n
+    floor_sq = _EPS**2 * math.log2(tsq.size) * float(tsq.mean()) * float(weights.sum())
+    weights *= tsq
+    norm_sq = float(weights.sum())
+    if floor_sq > _ROUNDOFF_SHARE * norm_sq:
+        k_max = math.sqrt(g.d) * math.pi / g.spacing
+        raise ResolutionError(
+            f"the grid cannot resolve n = {n:g}: FFT roundoff weighted by "
+            f"(1 + |k|^2)^n up to k_max = {k_max:.4g} has the floor "
+            f"{math.sqrt(floor_sq * dk**g.d):.3g}, {floor_sq / norm_sq:.2%} of the squared "
+            f"norm {math.sqrt(norm_sq * dk**g.d):.3g}^2 (limit {_ROUNDOFF_SHARE:.1%}); "
+            "lower n or use fewer points per axis"
+        )
+    return math.sqrt(norm_sq * dk**g.d)
 
 
 def product_ratio(f: GridFunction, g: GridFunction, n: float, a: float) -> float:

@@ -1,12 +1,12 @@
 """Self-contained real special functions and Sobolev imbedding constants.
 
-Everything here is scalar double-precision math with no dependencies
-beyond numpy (used only to block-sum hypergeometric series) and the
-standard library.  The one exception is hyp2f1 at negative arguments:
-when both float Pfaff branches lose the requested accuracy to
-cancellation, a branch is re-summed with the stdlib decimal module.
-Libraries such as scipy/mpmath appear solely in the test suite as
-independent references.
+Everything here is double-precision math with no dependencies beyond
+numpy (used to block-sum hypergeometric series and to run K_nu over an
+array of arguments) and the standard library.  The one exception is
+hyp2f1 at negative arguments: when both float Pfaff branches lose the
+requested accuracy to cancellation, a branch is re-summed with the
+stdlib decimal module.  Libraries such as scipy/mpmath appear solely in
+the test suite as independent references.
 
 Contents:
   ln_gamma            log Gamma via a Lanczos approximation (g=7, 9 terms)
@@ -20,7 +20,8 @@ Contents:
   hyp2f1_rows         hyp2f1_with_error over an array of negative z, the
                       first Pfaff branch summed for all of them at once
   bessel_k            Macdonald function K_nu (Temme series + continued
-                      fraction, upward recurrence in the order)
+                      fraction, upward recurrence in the order) at a float
+                      or an array of x, the fraction run on the whole array
   imbedding_constant  sharp-form H^n -> L^r imbedding constants
 """
 
@@ -639,61 +640,84 @@ def _bessel_k_pair_small(mu: float, x: float) -> tuple[float, float]:
     raise NonConvergenceError(f"bessel_k Temme series stalled at x={x}")
 
 
-def _bessel_k_pair_cf(mu: float, x: float) -> tuple[float, float]:
-    """Thompson-Barnett CF2: (K_mu(x), K_{mu+1}(x)) for |mu| <= 1/2, x > 2."""
+def _bessel_k_pair_cf(mu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Thompson-Barnett CF2: (K_mu(x), K_{mu+1}(x)) for |mu| <= 1/2 and an
+    array x > 2.  The recurrence runs on all elements at once; each element
+    leaves it at the iteration where it converges, so every value equals a
+    run of the recurrence on that element alone."""
     mu2 = mu * mu
     b = 2.0 * (1.0 + x)
     d = 1.0 / b
     h = delh = d
-    q1, q2 = 0.0, 1.0
+    q1, q2 = np.zeros_like(x), np.ones_like(x)
     a1 = 0.25 - mu2
-    q = cc = a1
+    q, cc = np.full_like(x, a1), a1
     a = -a1
     s = 1.0 + q * delh
+    h_out, s_out = np.empty_like(x), np.empty_like(x)
+    rows = np.arange(x.size)  # output index of each element still iterating
     for i in range(2, 10000):
         a -= 2 * (i - 1)
         cc = -a * cc / i
         qnew = (q1 - b * q2) / a
         q1, q2 = q2, qnew
-        q += cc * qnew
-        b += 2.0
+        q = q + cc * qnew
+        b = b + 2.0
         d = 1.0 / (b + a * d)
         delh = (b * d - 1.0) * delh
-        h += delh
+        h = h + delh
         dels = q * delh
-        s += dels
-        if abs(dels / s) < 1e-16:
-            break
+        s = s + dels
+        done = np.abs(dels / s) < 1e-16
+        if done.any():
+            h_out[rows[done]] = h[done]
+            s_out[rows[done]] = s[done]
+            left = ~done
+            if not left.any():
+                break
+            rows, b, d, delh, h, q, q1, q2, s = (
+                v[left] for v in (rows, b, d, delh, h, q, q1, q2, s)
+            )
     else:
-        raise NonConvergenceError(f"bessel_k continued fraction stalled at x={x}")
-    h = a1 * h
-    kmu = math.sqrt(math.pi / (2.0 * x)) * math.exp(-x) / s
+        raise NonConvergenceError(f"bessel_k continued fraction stalled at x={x[rows[0]]}")
+    h = a1 * h_out
+    exp_x = np.array([math.exp(-t) for t in x.tolist()])
+    kmu = np.sqrt(math.pi / (2.0 * x)) * exp_x / s_out
     k1 = kmu * (mu + x + 0.5 - h) / x
     return kmu, k1
 
 
-def bessel_k(nu: float, x: float) -> float:
+def bessel_k(nu: float, x):
     """Modified Bessel function of the third kind (Macdonald) K_nu(x).
 
-    nu >= 0, x > 0.  Relative error is well below 1e-10 for nu in [0, 5]
-    and x in (0, 50].  Values exceeding the double range raise
-    OverflowError (the x -> 0+ singularity for nu > 0).
+    nu >= 0, x > 0.  x is a float or an array of floats; an array gives an
+    array of the same shape whose every element equals the float call on
+    it.  Relative error is well below 1e-10 for nu in [0, 5] and x in
+    (0, 50].  Values exceeding the double range raise OverflowError (the
+    x -> 0+ singularity for nu > 0).
     """
     if math.isnan(nu) or nu < 0.0:
         raise DomainError(f"bessel_k requires nu >= 0, got {nu}")
-    if not x > 0.0 or math.isnan(x):
-        raise DomainError(f"bessel_k requires x > 0, got {x}")
+    xs = np.asarray(x, dtype=float)
+    flat = xs.ravel()
+    bad = ~(flat > 0.0)
+    if bad.any():
+        raise DomainError(f"bessel_k requires x > 0, got {flat[bad][0]}")
     nl = int(nu + 0.5)
     mu = nu - nl  # in [-1/2, 1/2]
-    if x <= 2.0:
-        kmu, k1 = _bessel_k_pair_small(mu, x)
-    else:
-        kmu, k1 = _bessel_k_pair_cf(mu, x)
-    for i in range(nl):
-        kmu, k1 = k1, (mu + i + 1.0) * 2.0 / x * k1 + kmu
-    if math.isinf(kmu) or math.isnan(kmu):
-        raise OverflowError(f"bessel_k({nu}, {x}) exceeds double range")
-    return kmu
+    kmu, k1 = np.empty_like(flat), np.empty_like(flat)
+    small = flat <= 2.0
+    for i in np.flatnonzero(small):
+        kmu[i], k1[i] = _bessel_k_pair_small(mu, float(flat[i]))
+    if not small.all():
+        kmu[~small], k1[~small] = _bessel_k_pair_cf(mu, flat[~small])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(nl):
+            kmu, k1 = k1, (mu + i + 1.0) * 2.0 / flat * k1 + kmu
+    overflow = ~np.isfinite(kmu)
+    if overflow.any():
+        raise OverflowError(f"bessel_k({nu}, {flat[overflow][0]}) exceeds double range")
+    return float(kmu[0]) if xs.ndim == 0 else kmu.reshape(xs.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
+import io
 import math
 
 import numpy as np
 import pytest
 
+from sobprod import oracle, specfun
 from sobprod.bessel_lb import BesselTrial, bessel_norm_n
 from sobprod.bounds import BoundQuery, best_bounds, upper_bound
+from sobprod.cli import main
 from sobprod.errors import DecayError, DomainError, ResolutionError
 from sobprod.fourier_lb import GaussianTrial, gaussian_norm_sq
 from sobprod.oracle import (
@@ -35,7 +38,49 @@ def grid2():
     return default_grid(2)
 
 
+# the three default grids and the two random-search grids
+ALL_GRIDS = (
+    default_grid(1),
+    default_grid(2),
+    default_grid(3),
+    Grid(1, 30.0, 4096),
+    Grid(2, 20.0, 256),
+)
+
+
+def _radius_from_axis(grid):
+    mesh = np.meshgrid(*([grid.axis] * grid.d), indexing="ij", sparse=True)
+    return np.sqrt(sum(x * x for x in mesh))
+
+
+def _bessel_trial_by_sorted_radii(lam, n, d, grid):
+    """The Bessel trial sampled the direct way: sort every grid radius,
+    evaluate K_nu on the distinct values, scatter back."""
+    z = lam * _radius_from_axis(grid)
+    if (n, d) == (1.0, 1):
+        return (math.sqrt(PI / 2.0) * np.exp(-z)).astype(complex)
+    if (n, d) == (2.0, 3):
+        return (math.sqrt(PI / 8.0) * np.exp(-z)).astype(complex)
+    out = np.empty_like(z)
+    zero = z == 0.0
+    zu, inv = np.unique(z[~zero], return_inverse=True)
+    if (n, d) == (2.0, 2):
+        out[zero] = 0.5
+        out[~zero] = 0.5 * z[~zero] * specfun.bessel_k(1.0, zu)[inv]
+        return out.astype(complex)
+    nu = n - d / 2.0
+    log_norm = -(n - 1.0) * math.log(2.0) - specfun.ln_gamma(n)
+    out[zero] = math.exp((nu - 1.0) * math.log(2.0) + specfun.ln_gamma(nu) + log_norm)
+    scale = np.array([math.exp(nu * math.log(t) + log_norm) for t in zu])
+    out[~zero] = (scale * specfun.bessel_k(nu, zu))[inv]
+    return out.astype(complex)
+
+
 class TestGrid:
+    @pytest.mark.parametrize("grid", ALL_GRIDS, ids=str)
+    def test_radius_from_lattice_equals_axis_radius(self, grid):
+        assert np.array_equal(grid.radius, _radius_from_axis(grid))
+
     def test_invariants(self):
         g = Grid(1, 10.0, 64)
         assert g.spacing == 20.0 / 64
@@ -91,6 +136,25 @@ class TestSampling:
         ix = int(np.argmin(np.abs(g.axis - 1.0)))
         iy = int(np.argmin(np.abs(g.axis)))
         assert_rel(float(f.values[ix, iy].real), 0.30095361509861734, 1e-10)
+
+    @pytest.mark.parametrize(
+        "grid,n,lam",
+        [
+            (ALL_GRIDS[0], 1.0, 1.3),
+            (ALL_GRIDS[0], 3.0, 1.1),
+            (ALL_GRIDS[1], 2.0, 1.35),
+            (ALL_GRIDS[1], 3.0, 1.2),
+            (ALL_GRIDS[2], 2.0, 1.4),
+            (ALL_GRIDS[2], 4.0, 1.2),
+            (ALL_GRIDS[3], 2.0, 1.4),
+            (ALL_GRIDS[4], 2.0, 1.3),
+            (ALL_GRIDS[4], 2.5, 1.7),
+        ],
+        ids=str,
+    )
+    def test_bessel_lattice_table_equals_sorted_radii(self, grid, n, lam):
+        got = sample_bessel_trial(lam, n, grid.d, grid).values
+        assert np.array_equal(got, _bessel_trial_by_sorted_radii(lam, n, grid.d, grid))
 
     def test_bessel_membership_guard(self, grid1):
         with pytest.raises(DomainError):
@@ -155,6 +219,24 @@ class TestNorms:
         f = GridFunction(grid1, vals)
         norms = [sobolev_norm(f, n) for n in (0.0, 0.5, 1.0, 1.7, 2.0, 3.0)]
         assert all(x <= y * (1.0 + 1e-12) for x, y in zip(norms, norms[1:]))
+
+    def test_transform_kept_without_the_complex_product(self, grid1):
+        f = sample_gaussian_trial(2.0, 0.5, 1, grid1)
+        t = f.transform_sq
+        assert t.dtype == np.float64 and t.base is None
+        assert f.transform_sq is t
+
+    def test_unresolved_exponent_raises(self, grid1):
+        f = sample_bessel_trial(1.4, 20.0, 1, grid1)
+        with pytest.raises(ResolutionError, match=r"n = 20: .*k_max = 643\.4 has the floor"):
+            sobolev_norm(f, 20.0)
+        assert sobolev_norm(f, 4.0) > 0.0  # low exponents stay resolved
+
+    def test_unresolved_validation_exits_4(self, capsys):
+        code = main(["oracle", "--n", "20", "--a", "5", "--d", "1", "--mode", "validate"])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "cannot resolve n = 20" in err and "k_max" in err
 
     def test_decay_violation_raises(self):
         g = Grid(1, 10.0, 64)
@@ -248,3 +330,33 @@ class TestRandomSearch:
     def test_dimension_guard(self):
         with pytest.raises(DomainError):
             random_search_lower(2.0, 2.0, 3, budget=10, seed=0)
+
+
+class TestWorkOnce:
+    def test_validate_transforms_and_norms_each_function_once(self, monkeypatch):
+        # (4, 2, 3): a Gaussian, a Bessel trial and their two squares, 12
+        # norm requests over 7 distinct (function, exponent) pairs
+        ffts, requests, evaluated = [], [], []
+        fftn, norm, weighted = np.fft.fftn, oracle.sobolev_norm, oracle._weighted_norm
+
+        def fftn_spy(a, *args, **kwargs):
+            ffts.append(a.shape)
+            return fftn(a, *args, **kwargs)
+
+        def norm_spy(gf, n):
+            requests.append(n)
+            return norm(gf, n)
+
+        def weighted_spy(gf, n):
+            evaluated.append((gf, n))
+            return weighted(gf, n)
+
+        monkeypatch.setattr(np.fft, "fftn", fftn_spy)
+        monkeypatch.setattr(oracle, "sobolev_norm", norm_spy)
+        monkeypatch.setattr(oracle, "_weighted_norm", weighted_spy)
+        argv = ["oracle", "--n", "4", "--a", "2", "--d", "3", "--mode", "validate", "--format", "json"]
+        assert main(argv, out=io.StringIO()) == 0
+        assert len(ffts) == 4
+        assert len(requests) == 12
+        assert len(evaluated) == 7
+        assert len({(id(gf), n) for gf, n in evaluated}) == 7

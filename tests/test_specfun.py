@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -251,6 +252,80 @@ class TestBesselK:
             specfun.bessel_k(1.0, -1.0)
         with pytest.raises(DomainError):
             specfun.bessel_k(-0.5, 1.0)
+        with pytest.raises(DomainError):
+            specfun.bessel_k(1.0, np.array([1.0, float("nan"), 3.0]))
+
+
+def _cf_pair_scalar(mu: float, x: float) -> tuple[float, float]:
+    """One float run of the Thompson-Barnett recurrence, stopping at its own
+    convergence: the reference the array pass must reproduce bit for bit."""
+    b = 2.0 * (1.0 + x)
+    d = 1.0 / b
+    h = delh = d
+    q1, q2 = 0.0, 1.0
+    a1 = 0.25 - mu * mu
+    q = cc = a1
+    a = -a1
+    s = 1.0 + q * delh
+    for i in range(2, 10000):
+        a -= 2 * (i - 1)
+        cc = -a * cc / i
+        qnew = (q1 - b * q2) / a
+        q1, q2 = q2, qnew
+        q += cc * qnew
+        b += 2.0
+        d = 1.0 / (b + a * d)
+        delh = (b * d - 1.0) * delh
+        h += delh
+        dels = q * delh
+        s += dels
+        if abs(dels / s) < 1e-16:
+            break
+    kmu = math.sqrt(math.pi / (2.0 * x)) * math.exp(-x) / s
+    return kmu, kmu * (mu + x + 0.5 - a1 * h) / x
+
+
+def _bessel_k_scalar(nu: float, x: float) -> float:
+    nl = int(nu + 0.5)
+    mu = nu - nl
+    if x <= 2.0:
+        kmu, k1 = specfun._bessel_k_pair_small(mu, x)
+    else:
+        kmu, k1 = _cf_pair_scalar(mu, x)
+    for i in range(nl):
+        kmu, k1 = k1, (mu + i + 1.0) * 2.0 / x * k1 + kmu
+    return kmu
+
+
+class TestBesselKArray:
+    @pytest.fixture(scope="class")
+    def xs(self):
+        rng = np.random.default_rng(20260)
+        return np.concatenate(
+            [
+                rng.uniform(1e-3, 2.0, 60),
+                rng.uniform(2.0, 80.0, 240),
+                [2.0, np.nextafter(2.0, 3.0), 1e-3, 150.0],
+            ]
+        )
+
+    @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 1.2, 1.5, 2.5, 3.7])
+    def test_array_equals_scalar_bit_for_bit(self, xs, nu):
+        got = specfun.bessel_k(nu, xs)
+        ref = np.array([_bessel_k_scalar(nu, float(x)) for x in xs])
+        assert np.array_equal(got, ref)
+        # a float call is a one-element call and returns a float
+        one = [specfun.bessel_k(nu, float(x)) for x in xs[::10]]
+        assert all(type(v) is float for v in one)
+        assert np.array_equal(np.array(one), ref[::10])
+
+    def test_shape_kept(self, xs):
+        flat = specfun.bessel_k(1.2, xs[:240])
+        assert np.array_equal(specfun.bessel_k(1.2, xs[:240].reshape(12, 20)), flat.reshape(12, 20))
+
+    def test_overflow_in_an_array(self):
+        with pytest.raises(OverflowError):
+            specfun.bessel_k(2.0, np.array([1.0, 1e-200]))
 
 
 # ---------------------------------------------------------------------------
