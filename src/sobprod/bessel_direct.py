@@ -1,5 +1,5 @@
-"""The direct integral of |f^2|_n^2 for the Bessel trial at non-integer n
-(see bessel_lb for the integral).
+"""The integral of |f^2|_n^2 for the Bessel trial (see bessel_lb): directly
+at non-integer n, through its lam-free moments at integer n.
 
 Every lam of a maximization reads the same quadrature rules.  A rule
 (_rule) is a set of GK15 panels of one interval of t = s/(1 + s) -- the
@@ -23,7 +23,11 @@ that bound misses rel_tol (the two terms cancel where n - d/2 is close to
 an integer), F comes from the Pfaff series, summed for all nodes at once
 (specfun.hyp2f1_rows).
 
-bessel_lb imports this module on first use: integer n never needs it.
+At integer n the n + 1 lam-free moments of the binomial expansion of
+(1 + 4 lam^2 s^2)^n share the panels of one adaptive pass per (n, d)
+(log_square_moments), with F from the same _log_f.
+
+bessel_lb imports this module on first use, since this module imports it.
 """
 
 from __future__ import annotations
@@ -44,12 +48,13 @@ from .bessel_lb import (
 from .errors import NonConvergenceError
 from .numerics import gk15_nodes, gk15_panels, integrate_panels
 
-__all__ = ["log_square_norm"]
+__all__ = ["log_square_norm", "log_square_moments"]
 
 _U = 2.0**-53  # unit roundoff
 _S_CONNECT = 3.0  # F from the 1/z connection formula from here on
 _F_MAX_TERMS = 600_000  # Pfaff series terms per node below _S_CONNECT
 _SERIES_BLOCK = 32
+_MOMENT_BLOCK = 2**13  # array elements of the moments evaluated at once
 
 
 def _ln_gamma_err(x: float) -> float:
@@ -423,3 +428,70 @@ def log_square_norm(lam: float, n: float, d: int, rel_tol: float) -> float:
             f"square-norm quadrature did not converge (lam={lam}, n={n}, d={d})"
         )
     return _log_square_prefactor(lam, n, d) + lmax + math.log(fine)
+
+
+@lru_cache(maxsize=64)
+def log_square_moments(n: int, d: int, rel_tol: float) -> tuple[float, ...]:
+    """log M_j of the lam-free moments M_j = int s^(d-1+2j) F^2 ds, j = 0..n,
+    of |f^2|_n^2 at integer n.
+
+    All n + 1 moments share the panels of one adaptive pass, driven by the
+    weighted sums of the moments' own GK15 values and error estimates, each
+    moment scaled by its peak over the scan nodes.  The pass runs over s in
+    (0, 50) at 1e-6, then on from its panels up to the largest of the
+    moments' tail cutoffs, each moment weighted by 1/(its coarse value) and
+    the tolerance by 1/(2 (n + 1)), so that each one meets rel_tol.  Every
+    panel keeps its per-moment values, so F is summed once per node, and
+    every moment is checked against rel_tol on its own.
+    """
+    f_tol = rel_tol * 1e-2
+    log_scan2 = 2.0 * np.log(_SCAN)
+    scale = np.array([np.max(_scan(n, d, f_tol) + j * log_scan2) for j in range(n + 1)])
+    kept = {}  # panel ends -> per-moment GK15 values and error estimates
+
+    def moments(ends: list[tuple[float, float]]) -> None:
+        lo, hi = np.array(ends).T
+        s2, lfree = _lfree(n, d, f_tol, gk15_nodes(lo, hi))
+        log_s2 = np.log(s2)
+        kron, err = np.empty((n + 1, len(ends))), np.empty((n + 1, len(ends)))
+        step = max(1, _MOMENT_BLOCK // lfree.size)
+        for j0 in range(0, n + 1, step):
+            j = np.arange(j0, min(j0 + step, n + 1))
+            vals = np.exp(lfree + j[:, None, None] * log_s2 - scale[j, None, None])
+            ends_j = (np.tile(lo, j.size), np.tile(hi, j.size))
+            k, e = gk15_panels(vals.reshape(-1, 15), *ends_j)
+            kron[j], err[j] = k.reshape(j.size, -1), e.reshape(j.size, -1)
+        kept.update(zip(ends, zip(kron.T, err.T)))
+
+    def weighted(end: tuple[float, float], weight: np.ndarray) -> tuple[float, float]:
+        return tuple(float((x * weight).sum()) for x in kept[end])
+
+    def run(weight: np.ndarray, panels: list, lo: float, hi: float, tol: float):
+        """The final panels of the adaptive pass over the moments weighted by
+        weight, from panels and the new panel (lo, hi), with the per-moment
+        sums of their values and error estimates."""
+
+        def panel(ends: list[tuple[float, float]]) -> list[tuple[float, float]]:
+            moments(ends)
+            return [weighted(end, weight) for end in ends]
+
+        start = [(a, b, *weighted((a, b), weight)) for a, b, *_ in panels]
+        start.append((lo, hi, *panel([(lo, hi)])[0]))
+        _, panels = integrate_panels(panel, start, tol, batch=True)
+        return panels, *(sum(x) for x in zip(*(kept[p[:2]] for p in sorted(panels))))
+
+    t_50 = 50.0 / 51.0
+    coarse, values, _ = run(np.ones(n + 1), [], 0.0, t_50, 1e-6)
+    cutoff = max(
+        _square_tail_cutoff(n, d, 0.0, c + math.log(v), 4.0 * n - d - 2.0 * j)
+        for j, (c, v) in enumerate(zip(scale.tolist(), values.tolist()))
+    )
+    tol = rel_tol / (2 * n + 2)
+    _, values, errs = run(1.0 / values, coarse, t_50, cutoff / (1.0 + cutoff), tol)
+    for j, (value, err) in enumerate(zip(values.tolist(), errs.tolist())):
+        if not err <= rel_tol * value:
+            raise NonConvergenceError(
+                f"moment quadrature did not converge (n={n}, d={d}, j={j}): "
+                f"error estimate {err:.3g} on value {value:.6g}"
+            )
+    return tuple((scale + np.log(values)).tolist())

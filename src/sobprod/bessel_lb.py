@@ -33,18 +33,18 @@ The squared trial gives
 
 The integral is truncated where an analytic tail bound drops below 1e-12
 of a coarse first pass, at a power of two; integrands assemble in log
-space so the (1 + 4 lam^2 s^2)^n growth never overflows.  At non-integer
-n the norm and the ratio stay in logs: |f^2|_n^2 leaves the double range
-from about n = 110 on.
+space so the (1 + 4 lam^2 s^2)^n growth never overflows.  The norms and
+the ratio stay in logs at every n: at the lam a maximization tries,
+|f^2|_n^2 leaves the double range from about n = 110 on and the H^q
+norms at larger n.
 
 At non-integer n the integral is taken directly, on lam-free quadrature
 rules that every lam of a maximization shares (bessel_direct).
 
 For integer n the lam-dependence factors out of the integral: the
 maximization reuses the n + 1 lam-free moments of the binomial expansion
-of (1 + 4 lam^2 s^2)^n.  Their integrands read F from a dict per (n, d,
-rel_tol) (_f_values), so each distinct node is summed once per moment
-set, and far in the tail accept F at a looser tolerance (_hyp_value).
+of (1 + 4 lam^2 s^2)^n, which share one quadrature rule and read F,
+certified at every node, from the same code (bessel_direct).
 
 The lower bound maximizes the ratio |f^2|_n / (|f|_a |f|_n) over lam;
 every lam-free log-Gamma term of the norms is cached.
@@ -72,8 +72,6 @@ __all__ = [
     "bessel_lower_detail",
 ]
 
-_F_ABS_FLOOR = 1e-12  # far-tail hypergeometric accuracy floor (see module notes)
-_F_REL_LOOSE = 3e-5
 _TAIL_FRACTION = 1e-12
 _NORM_REL_TOL = 1e-12  # certified relative accuracy of |f|_q^2 at non-integer q
 # the Euler-form series needs O(lam^2) terms: at lam = 100 the default 500 000
@@ -141,8 +139,9 @@ def _log_euler_beta(q: float, n: float, d: int) -> float:
     )
 
 
-def _norm_sq(lam: float, q: float, n: float, d: int) -> float:
-    """|f|_q^2: the Beta sum for integer q, else one Euler-form 2F1 (see module notes)."""
+def _log_norm_sq(lam: float, q: float, n: float, d: int) -> float:
+    """log |f|_q^2: the Beta sum for integer q, else one Euler-form 2F1 (see
+    module notes)."""
     if _is_integer(q):
         log_lam = math.log(lam)
         lse = specfun.log_sum_exp(
@@ -151,7 +150,7 @@ def _norm_sq(lam: float, q: float, n: float, d: int) -> float:
                 for ell, term in enumerate(_beta_sum_terms(int(round(q)), n, d))
             ]
         )
-        return math.exp(_log_norm_prefactor(lam, d) + lse)
+        return _log_norm_prefactor(lam, d) + lse
     val, err = specfun.hyp2f1_with_error(
         -q, d / 2.0, 2.0 * n - q, 1.0 - lam * lam, _NORM_REL_TOL, _NORM_MAX_TERMS
     )
@@ -160,20 +159,26 @@ def _norm_sq(lam: float, q: float, n: float, d: int) -> float:
             f"H^q norm not certified to {_NORM_REL_TOL:g} at (lam={lam}, q={q}, n={n}, "
             f"d={d}): error bound {err:.3g} on 2F1 value {val:.6g}"
         )
-    return math.exp(_log_norm_prefactor(lam, d) + _log_euler_beta(q, n, d) + math.log(val))
+    return _log_norm_prefactor(lam, d) + _log_euler_beta(q, n, d) + math.log(val)
 
 
-def bessel_norm_n(trial: BesselTrial) -> float:
-    """Squared H^n norm of the trial function."""
-    return bessel_norm_a(trial, trial.n)
+def bessel_norm_n(trial: BesselTrial, log: bool = False) -> float:
+    """Squared H^n norm of the trial function, or its log with log."""
+    return bessel_norm_a(trial, trial.n, log)
 
 
-def bessel_norm_a(trial: BesselTrial, a: float) -> float:
-    """Squared H^a norm of the trial function, d/2 < a <= n."""
+def bessel_norm_a(trial: BesselTrial, a: float, log: bool = False) -> float:
+    """Squared H^a norm of the trial function, d/2 < a <= n, or with log its
+    log: that of the float norm, and where the norm leaves the double range
+    the log of the Beta sum or Euler form itself."""
     n, d = trial.n, trial.d
     if not (d / 2.0 < a <= n):
         raise DomainError(f"need d/2 < a <= n, got a={a}, n={n}, d={d}")
-    return _norm_sq(trial.lam, a, n, d)
+    log_sq = _log_norm_sq(trial.lam, a, n, d)
+    norm = _exp_or_inf(log_sq)
+    if not log:
+        return norm
+    return math.log(norm) if norm < math.inf else log_sq
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +190,7 @@ def _hyp_params(n: float, d: int) -> tuple[float, float, float]:
     return 2.0 * n - d / 2.0, n, n + 0.5
 
 
+@lru_cache(maxsize=16)
 def _log_cf_asymptotic(n: float, d: int) -> float:
     """log of C with F(a, b, c; -s^2) ~ C s^(-2n) for large s (a > b here)."""
     a, b, c = _hyp_params(n, d)
@@ -196,59 +202,26 @@ def _log_cf_asymptotic(n: float, d: int) -> float:
     )
 
 
-def _hyp_value(n: float, d: int, s: float, rel_tol: float) -> float:
-    """F(2n - d/2, n, n + 1/2; -s^2) for the integer-n moments, with graded
-    far-tail tolerance.
-
-    Tries a fast certified pass first; past the certified range the value
-    is accepted once the error bound is below a loose relative tolerance
-    or an absolute floor, both immaterial to the integral because the
-    truncation point already caps the tail's share at 1e-12.
-
-    The moment integrands do not call this directly: they read F through
-    _f_values, which calls it once per distinct node s.
-    """
-    a, b, c = _hyp_params(n, d)
-    z = -s * s
-    val, err = specfun.hyp2f1_with_error(a, b, c, z, rel_tol=rel_tol, max_terms=120_000)
-    if err <= max(rel_tol * abs(val), 1e-15):
-        return val
-    val, err = specfun.hyp2f1_with_error(a, b, c, z, rel_tol=rel_tol, max_terms=600_000)
-    if err <= max(_F_REL_LOOSE * abs(val), _F_ABS_FLOOR):
-        return val
-    raise NonConvergenceError(
-        f"hypergeometric integrand not evaluable at s={s} for (n={n}, d={d}): "
-        f"error bound {err:.3g} on value {val:.6g}"
-    )
-
-
-@lru_cache(maxsize=4)
-def _f_values(n: float, d: int, rel_tol: float) -> dict[float, float]:
-    """The F values summed so far at (n, d, rel_tol), by node s.
-
-    One moment set reads one key, and the four most recent keys are kept.
-    A dict grows only with the nodes its moment integrals meet.  Threads
-    may share a dict: a node is only ever written with the one value F
-    has there.
-    """
-    return {}
-
-
-def _square_tail_cutoff(n: float, d: int, log_growth: float, log_coarse: float) -> float:
+def _square_tail_cutoff(
+    n: float, d: int, log_growth: float, log_coarse: float, decay: float | None = None
+) -> float:
     """Truncation point S with analytic tail bound below 1e-12 of the integral.
 
-    The integrand tail is bounded by growth * C^2 * s^(d - 1 - 2n) (growth
-    carries the (2 lam)^(2n)-type factor in log form), so
-    tail(S) = 2 * growth * C^2 * S^(d - 2n) / (2n - d).  S is rounded up
-    to a power of two (at least 64, clamped to 1e13): any larger S keeps
-    the bound, and lam-free ends let the lam of one maximization share
-    one quadrature rule (see module notes).
+    The integrand tail is bounded by growth * C^2 * s^(-1 - decay), with
+    decay = 2n - d for |f^2|_n^2 (growth carries the (2 lam)^(2n)-type
+    factor in log form) and 4n - d - 2j for the moment j, so
+    tail(S) = 2 * growth * C^2 * S^(-decay) / decay.  S is rounded up to a
+    power of two (at least 64, clamped to 1e13): any larger S keeps the
+    bound, and lam-free ends let the lam of one maximization share one
+    quadrature rule (see module notes).
     """
+    if decay is None:
+        decay = 2.0 * n - d
     log_c2 = 2.0 * _log_cf_asymptotic(n, d)
     log_target = math.log(_TAIL_FRACTION) + log_coarse
     log_s = (
-        log_target + math.log(2.0 * n - d) - math.log(2.0) - log_growth - log_c2
-    ) / (d - 2.0 * n)
+        log_target + math.log(decay) - math.log(2.0) - log_growth - log_c2
+    ) / -decay
     log2_s = min(max(log_s / math.log(2.0), 6.0), 44.0)
     return min(2.0 ** math.ceil(log2_s), 1e13)
 
@@ -263,13 +236,22 @@ def bessel_square_norm(
     integral on lam-free quadrature rules.  The log stays finite where
     the norm leaves the double range (from about n = 110 on).
     """
+    from . import bessel_direct  # deferred: bessel_direct imports this module
+
     n, d, lam = trial.n, trial.d, trial.lam
     if _is_integer(n):
-        sq = _square_norm_from_moments(lam, int(round(n)), d, rel_tol)
-        return math.log(sq) if log else sq
-    from . import bessel_direct  # deferred: only non-integer n needs it
-
-    log_sq = bessel_direct.log_square_norm(lam, n, d, rel_tol)
+        m = int(round(n))
+        log_lam = math.log(4.0 * lam * lam)
+        log_moments = bessel_direct.log_square_moments(m, d, rel_tol)
+        lse = specfun.log_sum_exp(
+            [
+                lb + j * log_lam + log_moments[j]
+                for j, lb in enumerate(specfun.log_binomials(m))
+            ]
+        )
+        log_sq = _log_square_prefactor(lam, n, d) + lse
+    else:
+        log_sq = bessel_direct.log_square_norm(lam, n, d, rel_tol)
     return log_sq if log else _exp_or_inf(log_sq)
 
 
@@ -289,63 +271,6 @@ def _log_square_const(n: float, d: int) -> float:
 def _log_square_prefactor(lam: float, n: float, d: int) -> float:
     """log of 2 pi^(d/2) Gamma(2n - d/2)^2 / (Gamma(d/2) lam^d Gamma(2n)^2)."""
     return math.log(2.0) + _log_norm_prefactor(lam, d) + _log_square_const(n, d)
-
-
-@lru_cache(maxsize=64)
-def _square_moments(n: int, d: int, rel_tol: float) -> tuple[float, ...]:
-    """Lam-free moments M_j = int s^(d-1+2j) F(2n-d/2, n, n+1/2; -s^2)^2 ds.
-
-    The coarse and fine passes of the n + 1 moment integrals bisect
-    mostly the same mapped intervals, so they read F from one dict of
-    _f_values: each distinct node is summed once per moment set, not once
-    per moment and pass.
-    Raises NonConvergenceError where s^(d-1+2j) leaves the double range.
-    """
-    nf, f_tol = float(n), rel_tol * 1e-2
-    log_c2 = 2.0 * _log_cf_asymptotic(nf, d)
-    fvals = _f_values(nf, d, f_tol)
-    out = []
-    for j in range(n + 1):
-        power = d - 1.0 + 2.0 * j
-
-        def f(s: float, _p: float = power, _j: int = j) -> float:
-            if s <= 0.0:
-                return 0.0
-            fv = fvals.get(s)
-            if fv is None:
-                fv = fvals[s] = _hyp_value(nf, d, s, f_tol)
-            try:
-                return s**_p * fv * fv
-            except OverflowError:
-                raise NonConvergenceError(
-                    f"moment integrand s^{_p:g} leaves the double range at "
-                    f"s={s:.6g} (n={n}, d={d}, j={_j})"
-                ) from None
-
-        coarse = integrate_semiline(f, rel_tol=1e-6, upper=50.0)
-        decay = 4.0 * n - d - 2.0 * j  # tail exponent of s^(power) * C^2 s^(-4n)
-        log_target = math.log(_TAIL_FRACTION) + math.log(max(coarse.value, 1e-300))
-        log_s = (log_target + math.log(decay) - math.log(2.0) - log_c2) / (-decay)
-        cutoff = min(max(math.exp(log_s), 50.0), 1e13)
-        res = integrate_semiline(f, rel_tol=rel_tol, upper=cutoff)
-        if not res.converged:
-            raise NonConvergenceError(
-                f"moment quadrature did not converge (n={n}, d={d}, j={j})"
-            )
-        out.append(res.value)
-    return tuple(out)
-
-
-def _square_norm_from_moments(lam: float, n: int, d: int, rel_tol: float) -> float:
-    moments = _square_moments(n, d, rel_tol)
-    log_lam = math.log(4.0 * lam * lam)
-    lse = specfun.log_sum_exp(
-        [
-            lb + j * log_lam + math.log(moments[j])
-            for j, lb in enumerate(specfun.log_binomials(n))
-        ]
-    )
-    return math.exp(_log_square_prefactor(lam, n, d) + lse)
 
 
 def square_norm_closed_form(trial: BesselTrial) -> float:
@@ -402,15 +327,10 @@ def bessel_ratio(lam: float, n: float, a: float, d: int, rel_tol: float = 1e-9) 
     if not (n >= a and a > d / 2.0):
         raise DomainError(f"bessel ratio needs n >= a > d/2, got (n={n}, a={a}, d={d})")
     trial = BesselTrial(lam, n, d)
-    if not _is_integer(n):
-        # in logs: |f^2|_n^2 leaves the double range from about n = 110 on
-        log_sq = bessel_square_norm(trial, rel_tol=rel_tol, log=True)
-        log_na = math.log(bessel_norm_a(trial, a))
-        return math.exp(0.5 * (log_sq - log_na - math.log(bessel_norm_n(trial))))
-    sq = bessel_square_norm(trial, rel_tol=rel_tol)
-    na = bessel_norm_a(trial, a)
-    nn = bessel_norm_n(trial)
-    return math.sqrt(sq) / (math.sqrt(na) * math.sqrt(nn))
+    # in logs: from about n = 110 on the norms alone leave the double range
+    log_sq = bessel_square_norm(trial, rel_tol=rel_tol, log=True)
+    log_na = bessel_norm_a(trial, a, log=True)
+    return math.exp(0.5 * (log_sq - log_na - bessel_norm_n(trial, log=True)))
 
 
 def bessel_lower_detail(

@@ -17,8 +17,8 @@ Contents:
   e_power             E(s) = s^s with E(0) = 1
   hyp2f1              Gauss 2F1 for z < 1, negative z through the Pfaff map,
                       cancelling branches re-summed in decimal
-  hyp2f1_rows         hyp2f1_with_error over an array of negative z, the
-                      first Pfaff branch summed for all of them at once
+  hyp2f1_rows         hyp2f1_with_error over an array of negative z, each
+                      Pfaff branch summed for all of them at once
   bessel_k            Macdonald function K_nu (Temme series + continued
                       fraction, upward recurrence in the order) at a float
                       or an array of x, the fraction run on the whole array
@@ -134,6 +134,7 @@ def e_power(s: float) -> float:
 # ---------------------------------------------------------------------------
 
 _HYP_BLOCK = 4096
+_ROWS_BUDGET = 2**13  # array elements of one block of _hyp_series_rows
 _EPS = 2.220446049250313e-16
 _ROUNDOFF = 32.0 * _EPS  # float roundoff estimate per unit of sum|t_k|
 
@@ -245,30 +246,34 @@ def _hyp_series_rows(
         if nterm is not None:
             block = min(block, nterm - k0 + 1)
         k = np.arange(k0, k0 + block, dtype=float)
-        ratios = (a + k) * (b + k) / ((c + k) * (1.0 + k)) * w[live, None]
-        terms = term[live, None] * np.cumprod(ratios, axis=1)
-        tot = total[live] + terms.sum(axis=1)
-        asum = absum[live] + np.abs(terms).sum(axis=1)
-        last = terms[:, -1]
         k0 += block
-        total[live], absum[live], term[live], count[live] = tot, asum, last, k0
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            blown = ~np.isfinite(last) | (asum > 1e290)
-            ended = (nterm is not None and k0 > nterm) | (last == 0.0)
-            rho = np.abs(ratios[:, -1])
-            if delta > 0.0 and k0 > max(64, 4.0 * (abs(a) + abs(b))):
-                far = 4.0 * np.abs(last) * k0 / delta
-            else:
-                far = math.inf
-            tl = np.where(rho < 1.0, np.abs(last) * rho / (1.0 - rho), far)
-            tl = np.where(ended, 0.0, tl)
-            target = rtol * np.maximum(np.abs(tot), 1e-300)
-            roundoff = _ROUNDOFF * asum
-            met = (tl + roundoff <= target) | ((roundoff > target / 2.0) & (tl <= target))
-        tl[blown] = math.inf
-        absum[live[blown]] = math.inf
-        tail[live] = tl
-        live = live[~(blown | ended | met)]
+        stop = []
+        # the live rows go in parts, so that a block's arrays stay small
+        for part in np.array_split(live, -(-live.size * block // _ROWS_BUDGET)):
+            ratios = (a + k) * (b + k) / ((c + k) * (1.0 + k)) * w[part, None]
+            terms = term[part, None] * np.cumprod(ratios, axis=1)
+            tot = total[part] + terms.sum(axis=1)
+            asum = absum[part] + np.abs(terms).sum(axis=1)
+            last = terms[:, -1]
+            total[part], absum[part], term[part], count[part] = tot, asum, last, k0
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                blown = ~np.isfinite(last) | (asum > 1e290)
+                ended = (nterm is not None and k0 > nterm) | (last == 0.0)
+                rho = np.abs(ratios[:, -1])
+                if delta > 0.0 and k0 > max(64, 4.0 * (abs(a) + abs(b))):
+                    far = 4.0 * np.abs(last) * k0 / delta
+                else:
+                    far = math.inf
+                tl = np.where(rho < 1.0, np.abs(last) * rho / (1.0 - rho), far)
+                tl = np.where(ended, 0.0, tl)
+                target = rtol * np.maximum(np.abs(tot), 1e-300)
+                roundoff = _ROUNDOFF * asum
+                met = (tl + roundoff <= target) | ((roundoff > target / 2.0) & (tl <= target))
+            tl[blown] = math.inf
+            absum[part[blown]] = math.inf
+            tail[part] = tl
+            stop.append(blown | ended | met)
+        live = live[~np.concatenate(stop)]
     return total, tail, absum, count
 
 
@@ -537,25 +542,32 @@ def hyp2f1_rows(
     (values, abs_error_bounds), each entry the same float the scalar call
     returns.
 
-    The first Pfaff branch is summed for all arguments at once
-    (_hyp_series_rows); an argument where it misses rel_tol takes the
-    scalar call, which tries the other branch and the decimal re-sum.
+    The Pfaff branches are tried in the scalar call's order, each summed
+    at once for the arguments the branches before it left uncertified
+    (_hyp_series_rows).  An argument where both miss rel_tol takes the
+    scalar call, for its decimal re-sum.
     """
     if not np.all(z < 0.0):
         raise DomainError("hyp2f1_rows takes negative arguments only")
     if _pochhammer_terminates(c) is not None:
         raise DomainError(f"hyp2f1: c must not be a non-positive integer, got c={c}")
-    a_out, kept = _pfaff_candidates(a, b, c)[0]
     w = z / (z - 1.0)
-    sval, tail, absum, _ = _hyp_series_rows(c - a_out, kept, c, w, rel_tol, max_terms)
     vals, errs = np.empty(z.shape), np.empty(z.shape)
-    for i, zi in enumerate(z.tolist()):
-        val, err = _pfaff_value(
-            a, b, c, zi, kept, float(sval[i]), float(tail[i] + _ROUNDOFF * absum[i])
+    todo = np.arange(z.shape[0])
+    for a_out, kept in _pfaff_candidates(a, b, c):
+        sval, tail, absum, _ = _hyp_series_rows(
+            c - a_out, kept, c, w[todo], rel_tol, max_terms
         )
-        if not err <= rel_tol * max(abs(val), 1e-300):
-            val, err = hyp2f1_with_error(a, b, c, zi, rel_tol, max_terms)
-        vals[i], errs[i] = val, err
+        missed = []
+        for i, zi in enumerate(z[todo].tolist()):
+            val, err = _pfaff_value(
+                a, b, c, zi, kept, float(sval[i]), float(tail[i] + _ROUNDOFF * absum[i])
+            )
+            vals[todo[i]], errs[todo[i]] = val, err
+            missed.append(not err <= rel_tol * max(abs(val), 1e-300))
+        todo = todo[np.array(missed, dtype=bool)]
+    for i in todo.tolist():
+        vals[i], errs[i] = hyp2f1_with_error(a, b, c, float(z[i]), rel_tol, max_terms)
     return vals, errs
 
 

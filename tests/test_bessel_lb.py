@@ -152,6 +152,39 @@ class TestSquareNorm:
         # frozen independent reference (series/FFT evaluation of the integral)
         assert_rel(general, 1.6164435946241, 1e-8)
 
+    @pytest.mark.parametrize(
+        "n,d,lam",
+        [
+            (2, 1, 1.2),
+            (3, 1, 1.6),
+            (2, 2, 0.8),
+            (2, 2, 2.0),
+            (3, 2, 1.5),
+            (4, 2, 1.7),
+            (2, 3, 1.1),
+            (3, 3, 1.4),
+            (6, 2, 2.2),
+            (10, 1, 2.5),
+        ],
+    )
+    def test_integer_n_against_mpmath(self, mp, n, d, lam):
+        # the moment path against mpmath quadrature of the defining integral;
+        # the tail s > 1, where the integrand falls like s^(-1-beta) with
+        # beta = 2n - d, is mapped by s = v^(-1/beta) onto (0, 1]
+        lam_, n_, hd = mp.mpf(lam), mp.mpf(n), mp.mpf(d) / 2
+
+        def g(s):
+            f = mp.hyp2f1(2 * n_ - hd, n_, n_ + 0.5, -s * s)
+            return s ** (d - 1) * (1 + 4 * lam_**2 * s**2) ** n_ * f**2
+
+        beta = 2 * n_ - d
+        head = mp.quad(g, [0, 1 / (2 * lam_), 1] if 2 * lam > 1 else [0, 1])
+        tail = mp.quad(lambda v: g(v ** (-1 / beta)) * v ** (-1 / beta - 1), [0, 1]) / beta
+        pref = 2 * mp.pi**hd / (mp.gamma(hd) * lam_**d)
+        ref = pref * (mp.gamma(2 * n_ - hd) / mp.gamma(2 * n_)) ** 2 * (head + tail)
+        got = bessel_square_norm(BesselTrial(lam, float(n), d))
+        assert_rel(got, float(ref), 1e-12, f"moments vs mpmath ({n},{d},{lam})")
+
     def test_moment_path_matches_direct(self):
         for lam, n, d in [(0.8, 2.0, 2), (1.35, 2.0, 2), (1.5, 3.0, 1), (1.2, 2.0, 3)]:
             trial = BesselTrial(lam, n, d)
@@ -235,22 +268,6 @@ class TestRatioAndLower:
         assert bound == pytest.approx(24.268, rel=1e-2)
 
 
-@pytest.fixture
-def hyp_calls(monkeypatch):
-    """(n, d, s, rel_tol) of every hypergeometric evaluation the moment F
-    dicts make, starting from no kept F values."""
-    calls = []
-    real = bessel_lb._hyp_value
-    bessel_lb._f_values.cache_clear()
-
-    def counting(n, d, s, rel_tol):
-        calls.append((n, d, s, rel_tol))
-        return real(n, d, s, rel_tol)
-
-    monkeypatch.setattr(bessel_lb, "_hyp_value", counting)
-    return calls
-
-
 def _clear_rules():
     bessel_direct._rule.cache_clear()
     bessel_direct._scan.cache_clear()
@@ -274,23 +291,24 @@ def f_nodes(monkeypatch):
 
 
 class TestFTable:
-    def test_moment_set_sums_each_node_once(self, hyp_calls, monkeypatch):
-        evaluations = []
-        real_integrate = bessel_lb.integrate_semiline
+    def test_moment_set_sums_each_node_once(self, monkeypatch):
+        arrays = []
+        real = bessel_direct._log_f
 
-        def counting_integrate(*args, **kwargs):
-            res = real_integrate(*args, **kwargs)
-            evaluations.append(res.evaluations)
-            return res
+        def counting(n, d, s, rel_tol):
+            arrays.append(np.array(s))
+            return real(n, d, s, rel_tol)
 
-        monkeypatch.setattr(bessel_lb, "integrate_semiline", counting_integrate)
-        bessel_lb._square_moments.cache_clear()
-        bessel_lb._square_moments(12, 2, 1e-11)
-        nodes = [s for _, _, s, _ in hyp_calls]
+        monkeypatch.setattr(bessel_direct, "_log_f", counting)
+        _clear_rules()
+        bessel_direct.log_square_moments.cache_clear()
+        bessel_direct.log_square_moments(12, 2, 1e-11)
+        nodes = np.concatenate(arrays).tolist()
         assert len(nodes) == len(set(nodes))
-        # 13 moments, a coarse and a fine pass each, over mostly shared nodes
-        assert len(evaluations) == 26
-        assert sum(evaluations) > 10 * len(nodes)
+        # the 13 moments share one adaptive pass; F comes in arrays of the
+        # scan nodes or of whole panels (431 nodes in 7 calls)
+        assert all(a.size >= 15 for a in arrays)
+        assert len(arrays) < 12 and len(nodes) > 20 * len(arrays)
 
     def test_ratio_same_cold_and_warm(self, f_nodes):
         lam, n, a, d = 1.9, 1.5, 1.2, 1
@@ -358,6 +376,25 @@ class TestFKernels:
                 assert (val, err) == specfun.hyp2f1_with_error(
                     a, b, c, -si * si, 1e-11, 120_000
                 )
+
+    @pytest.mark.parametrize("n", [12, 23])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_batched_f_second_branch_equals_scalar(self, monkeypatch, n, d):
+        # at integer n the first Pfaff branch cancels at most nodes below
+        # s = 3; the second, summed as rows too, certifies them, so no node
+        # takes the scalar call and every entry is still the scalar's float
+        a, b, c = bessel_direct._hyp_params(float(n), d)
+        z = -np.linspace(0.01, 2.99, 60) ** 2
+        scalar = [specfun.hyp2f1_with_error(a, b, c, zi, 1e-11, 600_000) for zi in z.tolist()]
+        calls = []
+        real = specfun.hyp2f1_with_error
+        monkeypatch.setattr(
+            specfun, "hyp2f1_with_error", lambda *args: calls.append(args) or real(*args)
+        )
+        vals, errs = specfun.hyp2f1_rows(a, b, c, z, 1e-11, 600_000)
+        assert np.array_equal(vals, [v for v, _ in scalar])
+        assert np.array_equal(errs, [e for _, e in scalar])
+        assert calls == []
 
     @pytest.mark.parametrize(
         "n,d,lam,ref",

@@ -75,24 +75,29 @@ class TestBound:
         assert code == 0
         assert math.isfinite(recs[0]["lower_fourier"]) and recs[0]["lower_fourier"] > 0.0
 
-    @pytest.mark.parametrize("n", ["93", "120", "150"])
-    def test_moment_overflow_leaves_fourier_bound(self, n):
-        # s^(d-1+2j) of the moment integrand leaves the double range from
-        # n = 93 on; the Bessel bound is then unavailable, not a crash
+    @pytest.mark.parametrize(
+        "n,a,d,method",
+        [("93", "2", "2", "fourier"), ("120", "2", "2", "fourier"),
+         ("150", "2", "2", "fourier"), ("150", "150", "1", "bessel")],
+        ids=["93", "120", "150", "150-150-1"],
+    )
+    def test_integer_n_bessel_bound_in_logs(self, n, a, d, method):
+        # s^(d-1+2j) of the moments and the norms alone leave the double
+        # range from n = 93 on; in logs the Bessel bound stays available, and
+        # at a = n it is the best lower bound
         src = os.path.dirname(os.path.dirname(sobprod.__file__))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
         proc = subprocess.run(
-            [sys.executable, "-m", "sobprod", "bound", "--n", n, "--a", "2", "--d", "2",
+            [sys.executable, "-m", "sobprod", "bound", "--n", n, "--a", a, "--d", d,
              "--format", "json"],
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         assert "Traceback" not in proc.stderr
         rec = json.loads(proc.stdout)
-        assert rec["lower_bessel"] is None
-        assert "double range" in rec["metadata"]["bessel_unavailable"]
-        assert rec["method_of_best_lower"] == "fourier"
+        assert math.isfinite(rec["lower_bessel"]) and rec["lower_bessel"] > 0.0
+        assert rec["method_of_best_lower"] == method
 
     def test_undefined_log2_field_prints(self, schema):
         # at n = 1.7e308 both bounds leave the double range but their logs
