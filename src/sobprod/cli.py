@@ -392,9 +392,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: building it costs about as much as a small query
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None, out: io.TextIOBase | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     stream = out if out is not None else sys.stdout
     try:
         return args.func(args, stream)

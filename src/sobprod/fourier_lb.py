@@ -77,18 +77,6 @@ def _require_fourier_regime(n: float, a: float, d: int) -> Regime:
     return regime
 
 
-def _v_general(mu: float, n: float, a: float, d: int) -> float:
-    """v(mu, n, a, d): the finite-n correction at trial width parameter mu."""
-    na = n + a
-    # na**4 raises OverflowError from n ~ 1e77 on; the product overflows to
-    # inf instead, so the term goes to 0
-    base = 1.0 - mu / na + mu * mu * a * n / ((na * na) * (na * na))
-    ex = ((2.0 * a - mu) * mu * n + mu * a * a) / (2.0 * na * na - 2.0 * mu * n) - (
-        mu * a * a
-    ) / (2.0 * na * na - 2.0 * mu * a)
-    return base ** (d / 4.0) * math.exp(ex)
-
-
 def v_coeff(n: float, a: float, d: int) -> float:
     """v(n, a, d): the finite-n factor of the closed-form bound; tends to 1.
 

@@ -11,8 +11,9 @@ many panels as one array (gk15_nodes, gk15_panels) and start from a
 panel set of their own.
 
 The maximizer runs a coarse log-spaced pre-scan (which also flags
-multimodality), expands the bracket geometrically until an interior
-maximum is enclosed, then golden-section refines.
+multimodality), extends the scan along the same log lattice until an
+interior maximum is enclosed, then refines by Brent's method seeded with
+the best scan point and its two neighbours.
 """
 
 from __future__ import annotations
@@ -262,31 +263,71 @@ def integrate_semiline(
     return integrate_panels(panel, [first], rel_tol, max_intervals)[0]
 
 
-def _golden_section(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
+_CGOLD = 0.5 * (3.0 - math.sqrt(5.0))  # golden-section fraction of Brent's method
+
+
+def _brent(
+    g: Callable[[float], float],
+    a: float,
+    b: float,
+    seed: tuple[tuple[float, float], ...],
     rel_tol: float,
     max_iter: int = 200,
 ) -> tuple[float, float, bool]:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
+    """Minimize g on (a, b) by Brent's method (Brent 1973, ch. 5).
+
+    seed holds three points of (a, b) with their values of g, the best
+    first; they stand in for the points Brent's method would otherwise
+    spend its first evaluations on.  Each step takes the parabola through
+    the three best points, or a golden-section step where the parabola
+    leaves the bracket or does not shrink fast enough.  Stops once the
+    bracket is within rel_tol * |x| of the best point x, and returns
+    (x, g(x), converged).
+    """
+    (x, gx), (w, gw), (v, gv) = seed
+    d = e = b - a  # the scan steps stand in for the steps before the first
     for _ in range(max_iter):
-        if b - a <= rel_tol * max(abs(a), abs(b), 1e-30):
-            break
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
+        xm = 0.5 * (a + b)
+        tol1 = 0.25 * rel_tol * abs(x)
+        tol2 = 2.0 * tol1
+        if abs(x - xm) <= tol2 - 0.5 * (b - a):  # b - a <= rel_tol * |x|
+            return x, gx, True
+        parabolic = False
+        if abs(e) > tol1:
+            r = (x - w) * (gx - gv)
+            q = (x - v) * (gx - gw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            e_prev, e = e, d
+            if abs(p) < abs(0.5 * q * e_prev) and q * (a - x) < p < q * (b - x):
+                parabolic = True
+                d = p / q
+                if (x + d) - a < tol2 or b - (x + d) < tol2:
+                    d = math.copysign(tol1, xm - x)
+        if not parabolic:
+            e = (a - x) if x >= xm else (b - x)
+            d = _CGOLD * e
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        gu = g(u)
+        if gu <= gx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, gv, w, gw, x, gx = w, gw, x, gx, u, gu
         else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x), b - a <= rel_tol * max(abs(a), abs(b), 1e-30)
+            if u < x:
+                a = u
+            else:
+                b = u
+            if gu <= gw or w == x:
+                v, gv, w, gw = w, gw, u, gu
+            elif gu <= gv or v == x or v == w:
+                v, gv = u, gu
+    return x, gx, False
 
 
 def maximize_scalar(
@@ -298,44 +339,57 @@ def maximize_scalar(
 ) -> MaximizerResult:
     """Maximize a scalar objective on (0, inf) near the given bracket.
 
-    The bracket is expanded (hi doubled, lo halved, alternating) until the
-    best point of a log-spaced scan is interior; multiple interior local
-    maxima in the scan are reported as a warning rather than resolved.
+    f is scanned on scan_points log-spaced points from lo to hi.  While
+    the best scan point is an end of the scan, the scan is extended past
+    that end by the next points of the same log lattice, enough to double
+    hi or halve lo (a coarser lattice extends a bracket narrower than a
+    factor 2); values already computed are kept.  Multiple interior
+    local maxima on the scan are reported as a warning rather than
+    resolved.  Brent's method then refines between the best point's two
+    neighbours, seeded with the three of them, to a bracket of rel_tol
+    times the argmax, and the best point evaluated is returned.
     """
     lo, hi = initial_bracket
     if not (0.0 < lo < hi):
         raise DomainError(f"need 0 < lo < hi, got {initial_bracket}")
     warnings: list[str] = []
 
-    xs: list[float] = []
-    ys: list[float] = []
+    ratio = (hi / lo) ** (1.0 / (scan_points - 1))
+    xs = [lo * ratio**i for i in range(scan_points)]
+    xs[-1] = hi
+    ys = [f(x) for x in xs]
+    # an expansion steps by the scan's ratio, or by 2^(1/(scan_points - 1))
+    # from a bracket narrower than a factor 2, so that doubling hi or halving
+    # lo takes at most scan_points - 1 new points
+    grow = max(ratio, 2.0 ** (1.0 / (scan_points - 1)))
+    step = math.ceil(math.log(2.0) / math.log(grow))
 
-    def scan() -> int:
-        nonlocal xs, ys
-        ratio = (hi / lo) ** (1.0 / (scan_points - 1))
-        xs = [lo * ratio**i for i in range(scan_points)]
-        xs[-1] = hi
-        ys = [f(x) for x in xs]
-        return max(range(scan_points), key=lambda i: ys[i])
+    def best_index() -> int:
+        return max(range(len(xs)), key=lambda i: ys[i])
 
-    best = scan()
+    best = best_index()
     expansions = 0
-    while best in (0, scan_points - 1):
+    while best in (0, len(xs) - 1):
         if expansions >= max_expansions:
             raise BracketError(
-                f"no interior maximum within ({lo}, {hi}) after "
+                f"no interior maximum within ({xs[0]}, {xs[-1]}) after "
                 f"{expansions} bracket expansions"
             )
-        if best == scan_points - 1:
-            hi *= 2.0
+        if best == len(xs) - 1:
+            new = [xs[-1] * grow**k for k in range(1, step + 1)]
+            xs += new
+            ys += [f(x) for x in new]
         else:
-            lo *= 0.5
+            new = [xs[0] / grow**k for k in range(step, 0, -1)]
+            xs = new + xs
+            ys = [f(x) for x in new] + ys
         expansions += 1
-        best = scan()
+        best = best_index()
+    lo, hi = xs[0], xs[-1]
 
     n_local = sum(
         1
-        for i in range(1, scan_points - 1)
+        for i in range(1, len(xs) - 1)
         if ys[i] > ys[i - 1] and ys[i] > ys[i + 1]
     )
     if n_local > 1:
@@ -344,14 +398,16 @@ def maximize_scalar(
             "refining the best one only"
         )
 
-    x, fx, ok = _golden_section(f, xs[best - 1], xs[best + 1], rel_tol)
+    neighbours = sorted((best - 1, best + 1), key=lambda i: -ys[i])
+    seed = tuple((xs[i], -ys[i]) for i in (best, *neighbours))
+    x, gx, ok = _brent(lambda u: -f(u), xs[best - 1], xs[best + 1], seed, rel_tol)
     if not ok:
         raise NonConvergenceError(
-            f"golden-section did not reach rel_tol={rel_tol} on ({lo}, {hi})"
+            f"Brent refinement did not reach rel_tol={rel_tol} on ({lo}, {hi})"
         )
     return MaximizerResult(
         argmax=x,
-        max_value=fx,
+        max_value=-gx,
         bracket=(lo, hi),
         converged=True,
         warnings=tuple(warnings),

@@ -22,7 +22,6 @@ Contents:
   bessel_k            Macdonald function K_nu (Temme series + continued
                       fraction, upward recurrence in the order) at a float
                       or an array of x, the fraction run on the whole array
-  imbedding_constant  sharp-form H^n -> L^r imbedding constants
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, NonConvergenceError, check_dimension
+from .errors import DomainError, NonConvergenceError
 
 __all__ = [
     "ln_gamma",
@@ -45,7 +44,6 @@ __all__ = [
     "hyp2f1_rows",
     "digamma",
     "bessel_k",
-    "imbedding_constant",
 ]
 
 
@@ -730,51 +728,3 @@ def bessel_k(nu: float, x):
     if overflow.any():
         raise OverflowError(f"bessel_k({nu}, {flat[overflow][0]}) exceeds double range")
     return float(kmu[0]) if xs.ndim == 0 else kmu.reshape(xs.shape)
-
-
-# ---------------------------------------------------------------------------
-# Imbedding constants S_{r, n, d}
-# ---------------------------------------------------------------------------
-
-
-def _imbedding_admissible(r: float, n: float, d: int) -> bool:
-    if n == 0.0:
-        return r == 2.0
-    if n < d / 2.0:
-        return 2.0 <= r < d / (d / 2.0 - n)
-    if n == d / 2.0:
-        return 2.0 <= r < math.inf
-    return 2.0 <= r  # n > d/2 admits r = inf too
-
-
-def imbedding_constant(r: float, n: float, d: int) -> float:
-    """Sharp-form imbedding constant S_{r, n, d} of H^n into L^r.
-
-    r may be any real in [2, inf] (math.inf accepted).  Outside the
-    admissible (n, r) pairs a DomainError is raised.
-    """
-    check_dimension(d)
-    if n < 0.0 or math.isnan(n):
-        raise DomainError(f"imbedding_constant requires n >= 0, got {n}")
-    if r < 2.0 or math.isnan(r):
-        raise DomainError(f"imbedding_constant requires r >= 2, got {r}")
-    if r == 2.0:
-        return 1.0
-    if math.isinf(r):
-        if n <= d / 2.0:
-            raise DomainError(f"r = inf requires n > d/2 (n={n}, d={d})")
-        return math.exp(
-            -(d / 4.0) * math.log(4.0 * math.pi)
-            + 0.5 * (ln_gamma(n - d / 2.0) - ln_gamma(n))
-        )
-    if not _imbedding_admissible(r, n, d):
-        raise DomainError(f"(n={n}, r={r}, d={d}) outside the admissible imbedding range")
-    g = n / (1.0 - 2.0 / r)
-    val = (
-        -(d / 4.0 - d / (2.0 * r)) * math.log(4.0 * math.pi)
-        + (0.5 - 1.0 / r) * (ln_gamma(g - d / 2.0) - ln_gamma(g))
-    )
-    e_ratio = (d / 2.0) * (
-        math.log(e_power(1.0 / r)) - math.log(e_power(1.0 - 1.0 / r))
-    )
-    return math.exp(val + e_ratio)

@@ -62,6 +62,32 @@ class TestBound:
             run_cli("bound", "--n", "oops", "--a", "1", "--d", "1")
         assert exc.value.code == 2
 
+    def test_back_to_back_calls_match_fresh_processes(self, capsys):
+        # main reuses one parser; each call must still print and exit as a
+        # fresh process does, a usage error included
+        calls = (
+            ("bound", "--n", "2", "--a", "2", "--d", "2", "--format", "json"),
+            ("sweep", "--a", "2", "--d", "2", "--n-from", "2", "--n-to", "4"),
+            ("bound", "--n", "oops", "--a", "1", "--d", "1"),
+            ("bound", "--n", "1", "--a", "2", "--d", "1"),
+            ("table", "--preset", "nope", "--format", "csv"),
+        )
+        src = os.path.dirname(os.path.dirname(sobprod.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        for argv in calls:
+            capsys.readouterr()
+            try:
+                code, out = run_cli(*argv)
+            except SystemExit as exc:
+                code, out = exc.code, ""
+            err = capsys.readouterr().err
+            proc = subprocess.run(
+                [sys.executable, "-m", "sobprod", *argv],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr), argv
+
     @pytest.mark.parametrize(
         "n,a", [("inf", "1"), ("-inf", "1"), ("3", "inf"), ("inf", "inf")]
     )

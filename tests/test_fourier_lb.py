@@ -6,7 +6,6 @@ from sobprod.bounds import upper_bound
 from sobprod.errors import DomainError
 from sobprod.fourier_lb import (
     GaussianTrial,
-    _v_general,
     fourier_bound_at,
     fourier_lower,
     fourier_lower_scan,
@@ -18,6 +17,7 @@ from sobprod.fourier_lb import (
 )
 
 from conftest import assert_rel
+from reference_formulas import v_general
 
 PI = math.pi
 
@@ -64,7 +64,7 @@ class TestVCoeff:
 
     def test_dual_path_mu_specialization(self):
         for n, a, d in HIGH_TRIPLES + [(1.0, 3.0, 2)]:
-            assert_rel(v_coeff(n, a, d), _v_general(d / 2.0, n, a, d), 1e-12)
+            assert_rel(v_coeff(n, a, d), v_general(d / 2.0, n, a, d), 1e-12)
 
     def test_regime_guard(self):
         with pytest.raises(DomainError):

