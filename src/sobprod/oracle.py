@@ -13,8 +13,14 @@ point x = h j has |x|^2 = h^2 (j_1^2 + ... + j_d^2), so K_nu runs once on
 the array of distinct integer sums and the grid gathers from that table.
 A GridFunction's samples are read-only, so its transform, its decay check
 and its norm per exponent are computed once and reused by every ratio that
-reads them.  A norm whose FFT roundoff, weighted by (1 + |k|^2)^n, is no
-longer small against it raises ResolutionError instead of returning noise.
+reads them.  Each function is transformed the way its samples allow: real
+samples (the Bessel trial, its square) through rfftn, whose half spectrum
+counts each interior last-axis plane twice by Hermitian symmetry; the
+Gaussian trial as d one-dimensional factors, whose transform is the outer
+product of their 1-D transforms and whose dense samples are built only
+when something reads them.  A norm whose FFT roundoff, weighted by
+(1 + |k|^2)^n, is no longer small against it raises ResolutionError
+instead of returning noise.
 
 Nothing here proves anything: grid ratios validate the ordering of the
 analytic bounds within a documented discretization tolerance.
@@ -23,8 +29,8 @@ analytic bounds within a documented discretization tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -111,6 +117,22 @@ class Grid:
         mesh = np.meshgrid(*([self.k_axis] * self.d), indexing="ij", sparse=True)
         return sum(k * k for k in mesh)
 
+    @cached_property
+    def k_squared_half(self) -> np.ndarray:
+        """|k|^2 on rfftn's half spectrum: the last axis keeps 0..N/2."""
+        half = self.k_axis[: self.points_per_axis // 2 + 1]
+        mesh = np.meshgrid(*([self.k_axis] * (self.d - 1) + [half]), indexing="ij", sparse=True)
+        return sum(k * k for k in mesh)
+
+    @cached_property
+    def half_multiplicity(self) -> np.ndarray:
+        """The full-spectrum points each last-axis plane of the half spectrum
+        stands for: 1 at k = 0 and at the Nyquist plane, 2 between (a real
+        function's transform at -k is the conjugate of the one at k)."""
+        mult = np.full(self.points_per_axis // 2 + 1, 2.0)
+        mult[0] = mult[-1] = 1.0
+        return mult
+
 
 def default_grid(d: int, points_per_axis: int | None = None, half_width: float | None = None) -> Grid:
     """Per-dimension default grid; d = 3 is capped at 128 points per axis."""
@@ -121,55 +143,122 @@ def default_grid(d: int, points_per_axis: int | None = None, half_width: float |
     return Grid(d, l0 if half_width is None else half_width, n)
 
 
-@dataclass(frozen=True, eq=False)
 class GridFunction:
     """Read-only samples on a grid, with the values derived from them kept:
-    the transform, the decay check and the norm per exponent."""
+    the transform, the decay check and the norm per exponent.
 
-    grid: Grid
-    values: np.ndarray
-    _norms: dict = field(default_factory=dict, init=False, repr=False)
+    Real samples stay float64 and go through rfftn: transform_sq is then
+    the half spectrum (last axis k >= 0), which stands for the full one by
+    Hermitian symmetry, each last-axis plane counted Grid.half_multiplicity
+    times.  Complex samples go through fftn.  A separable function
+    (GridFunction.separable) keeps one 1-D factor per axis; its transform,
+    decay check and products with other separable functions come from the
+    factors, and its dense values are built only when read.
+    """
 
-    def __post_init__(self) -> None:
-        expected = (self.grid.points_per_axis,) * self.grid.d
-        if self.values.shape != expected:
-            raise DomainError(
-                f"samples shape {self.values.shape} does not match grid {expected}"
-            )
-        vals = np.ascontiguousarray(self.values, dtype=complex)
-        if not np.all(np.isfinite(vals.view(float))):
+    def __init__(self, grid: Grid, values: np.ndarray) -> None:
+        vals = np.ascontiguousarray(values, dtype=complex if np.iscomplexobj(values) else float)
+        expected = (grid.points_per_axis,) * grid.d
+        if vals.shape != expected:
+            raise DomainError(f"samples shape {vals.shape} does not match grid {expected}")
+        if not np.all(np.isfinite(vals)):
             raise DomainError("samples must be finite")
         vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        self.grid = grid
+        self.factors: tuple[np.ndarray, ...] | None = None
+        self.values = vals  # shadows the cached property, which serves separable functions
+        self._norms: dict[float, float] = {}
+
+    @classmethod
+    def separable(cls, grid: Grid, factors: list[np.ndarray]) -> GridFunction:
+        """The function f_1(x_1) f_2(x_2) ... f_d(x_d) from one factor per axis."""
+        if len(factors) != grid.d:
+            raise DomainError(f"{len(factors)} factors do not match grid dimension {grid.d}")
+        kept = []
+        for f in factors:
+            f = np.array(f, dtype=complex if np.iscomplexobj(f) else float)
+            if f.shape != (grid.points_per_axis,):
+                raise DomainError(
+                    f"factor shape {f.shape} does not match grid axis {grid.points_per_axis}"
+                )
+            f.flags.writeable = False
+            kept.append(f)
+        gf = cls.__new__(cls)
+        gf.grid = grid
+        gf.factors = tuple(kept)
+        gf._norms = {}
+        # every sample is finite when every factor and the product of their peaks are
+        if not (all(np.all(np.isfinite(f)) for f in kept) and math.isfinite(gf._edge_and_peak[1])):
+            raise DomainError("samples must be finite")
+        return gf
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The dense samples of a separable function, built on first read."""
+        vals = reduce(np.multiply.outer, self.factors)
+        vals.flags.writeable = False
+        return vals
+
+    def __mul__(self, other: GridFunction) -> GridFunction:
+        """The pointwise product, separable factor by factor when both are."""
+        if self.grid != other.grid:
+            raise DomainError("a product needs both functions on the same grid")
+        if self.factors is not None and other.factors is not None:
+            return GridFunction.separable(
+                self.grid, [f * g for f, g in zip(self.factors, other.factors)]
+            )
+        return GridFunction(self.grid, self.values * other.values)
 
     def boundary_max(self) -> float:
-        out = 0.0
-        for ax in range(self.grid.d):
-            out = max(
-                out,
-                float(np.max(np.abs(np.take(self.values, 0, axis=ax)))),
-                float(np.max(np.abs(np.take(self.values, -1, axis=ax)))),
-            )
-        return out
+        """max |f| over the faces of the box."""
+        return self._edge_and_peak[0]
 
     @cached_property
     def _edge_and_peak(self) -> tuple[float, float]:
-        """(boundary_max, max |f|) for the decay check."""
-        return self.boundary_max(), float(np.max(np.abs(self.values)))
+        """(boundary_max, max |f|) for the decay check; a separable
+        function's come from its factors' ends and peaks."""
+        if self.factors is None:
+            edge = max(
+                float(np.max(np.abs(np.take(self.values, i, axis=ax))))
+                for ax in range(self.grid.d)
+                for i in (0, -1)
+            )
+            return edge, float(np.max(np.abs(self.values)))
+        ends = [max(abs(f[0]), abs(f[-1])) for f in self.factors]
+        peaks = [float(np.max(np.abs(f))) for f in self.factors]
+        edge = max(
+            float(end) * math.prod(peaks[:i] + peaks[i + 1 :]) for i, end in enumerate(ends)
+        )
+        return edge, math.prod(peaks)
 
     @cached_property
     def transform_sq(self) -> np.ndarray:
-        """|continuum Fourier transform|^2 on the grid frequencies.
+        """|continuum Fourier transform|^2 on the grid frequencies: the half
+        spectrum for real samples, the full one otherwise.
 
         The transform carries the (2 pi)^(-d/2) normalization and the h^d
         Riemann factor; the grid-offset phases drop because only the
         modulus enters the norms.
         """
         g = self.grid
-        fhat = np.fft.fftn(self.values)
-        fhat *= (g.spacing / math.sqrt(2.0 * math.pi)) ** g.d
-        # a copy, so the complex product is not kept alive under the view
-        return (fhat * np.conj(fhat)).real.copy()
+        scale = g.spacing / math.sqrt(2.0 * math.pi)
+        if self.factors is not None:
+            return reduce(
+                np.multiply.outer, [_modulus_sq(scale * np.fft.fft(f)) for f in self.factors]
+            )
+        if np.iscomplexobj(self.values):
+            fhat = np.fft.fftn(self.values)
+        else:
+            fhat = np.fft.rfftn(self.values)
+        fhat *= scale**g.d
+        return _modulus_sq(fhat)
+
+
+def _modulus_sq(z: np.ndarray) -> np.ndarray:
+    """re^2 + im^2 of a complex array, without a complex product."""
+    out = np.square(z.real)
+    out += np.square(z.imag)
+    return out
 
 
 def _check_decay(gf: GridFunction) -> None:
@@ -232,11 +321,13 @@ def sample_bessel_trial(lam: float, n: float, d: int, grid: Grid) -> GridFunctio
     m = keys * keys if d == 1 else keys
     table = np.empty(present.size)
     table[keys] = _bessel_radial_profile(lam, n, d, np.sqrt(grid.spacing * grid.spacing * m))
-    return GridFunction(grid, table[key].astype(complex))
+    return GridFunction(grid, table[key])
 
 
 def sample_gaussian_trial(p: float, sigma: float, d: int, grid: Grid) -> GridFunction:
-    """Sample exp(i p x_1) exp(-(sigma/2)|x|^2), checking the grid resolves it."""
+    """Sample exp(i p x_1) exp(-(sigma/2)|x|^2), checking the grid resolves
+    it, as the separable product of exp(i p x_1) exp(-(sigma/2) x_1^2) and
+    exp(-(sigma/2) x_i^2) on the other axes."""
     if grid.d != d:
         raise DomainError(f"grid dimension {grid.d} does not match d={d}")
     if not (p > 0.0 and sigma > 0.0):
@@ -252,12 +343,9 @@ def sample_gaussian_trial(p: float, sigma: float, d: int, grid: Grid) -> GridFun
             f"width condition L^2 sigma > 40 violated "
             f"(L^2 sigma = {grid.half_width**2 * sigma:.4g}); increase half_width"
         )
-    mesh = np.meshgrid(*([grid.axis] * d), indexing="ij", sparse=True)
-    r2 = sum(x * x for x in mesh)
-    phase = np.exp(1j * p * mesh[0])
-    vals = (phase * np.exp(-0.5 * sigma * r2)).astype(complex)
-    vals = np.broadcast_to(vals, (grid.points_per_axis,) * d).copy()
-    return GridFunction(grid, vals)
+    x = grid.axis
+    envelope = np.exp(-0.5 * sigma * (x * x))
+    return GridFunction.separable(grid, [np.exp(1j * p * x) * envelope] + [envelope] * (d - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +378,18 @@ def _weighted_norm(gf: GridFunction, n: float) -> float:
     g = gf.grid
     dk = math.pi / g.half_width
     tsq = gf.transform_sq
-    weights = 1.0 + g.k_squared
-    weights **= n
-    floor_sq = _EPS**2 * math.log2(tsq.size) * float(tsq.mean()) * float(weights.sum())
+    size = g.points_per_axis**g.d
+    if tsq.size == size:
+        weights = 1.0 + g.k_squared
+        weights **= n
+        tsq_sum = float(tsq.sum())
+    else:  # real samples: the half spectrum, each plane counted by its multiplicity
+        mult = g.half_multiplicity
+        weights = 1.0 + g.k_squared_half
+        weights **= n
+        weights *= mult
+        tsq_sum = float((tsq @ mult).sum())
+    floor_sq = _EPS**2 * math.log2(size) * (tsq_sum / size) * float(weights.sum())
     weights *= tsq
     norm_sq = float(weights.sum())
     if floor_sq > _ROUNDOFF_SHARE * norm_sq:
@@ -313,11 +410,8 @@ def product_ratio(f: GridFunction, g: GridFunction, n: float, a: float) -> float
     Low regime: denominator |f|_a |g|_n.  High regime: the max of
     |f|_a |g|_n and |f|_n |g|_a.
     """
-    if f.grid != g.grid:
-        raise DomainError("product_ratio needs both functions on the same grid")
     regime = bounds.classify_regime(n, a, f.grid.d)
-    fg = GridFunction(f.grid, f.values * g.values)
-    num = sobolev_norm(fg, n)
+    num = sobolev_norm(f * g, n)
     if regime is Regime.LOW:
         den = sobolev_norm(f, a) * sobolev_norm(g, n)
     else:

@@ -1,5 +1,8 @@
 import io
 import math
+import re
+import tracemalloc
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -232,6 +235,18 @@ class TestNorms:
             sobolev_norm(f, 20.0)
         assert sobolev_norm(f, 4.0) > 0.0  # low exponents stay resolved
 
+    def test_half_spectrum_floor_equals_full_spectrum_floor(self, grid1):
+        # the real samples' rfftn half spectrum and the same samples as
+        # complex through fftn report the same roundoff floor (the norms
+        # themselves are roundoff noise at this exponent and differ)
+        f = sample_bessel_trial(1.4, 20.0, 1, grid1)
+        floors = []
+        for gf in (f, GridFunction(grid1, f.values.astype(complex))):
+            with pytest.raises(ResolutionError) as err:
+                sobolev_norm(gf, 20.0)
+            floors.append(re.search(r"has the floor (\S+),", str(err.value)).group(1))
+        assert floors[0] == floors[1]
+
     def test_unresolved_validation_exits_4(self, capsys):
         code = main(["oracle", "--n", "20", "--a", "5", "--d", "1", "--mode", "validate"])
         assert code == 4
@@ -243,6 +258,50 @@ class TestNorms:
         f = GridFunction(g, np.ones(64, dtype=complex))
         with pytest.raises(DecayError):
             sobolev_norm(f, 1.0)
+
+
+def _norm_from_full_fftn(gf, n):
+    """sobolev_norm from the full complex fftn of the same samples."""
+    g = gf.grid
+    fhat = np.fft.fftn(gf.values.astype(complex)) * (g.spacing / math.sqrt(2.0 * PI)) ** g.d
+    weighted = (1.0 + g.k_squared) ** n * np.abs(fhat) ** 2
+    return math.sqrt(float(weighted.sum()) * (PI / g.half_width) ** g.d)
+
+
+class TestTransforms:
+    @pytest.mark.parametrize(
+        "grid,n,lam",
+        [(Grid(1, 30.0, 1024), 1.0, 1.3), (Grid(2, 20.0, 128), 2.0, 1.35), (Grid(3, 18.0, 32), 2.0, 1.4)],
+        ids=str,
+    )
+    def test_half_spectrum_norm_equals_full_fftn(self, grid, n, lam):
+        f = sample_bessel_trial(lam, n, grid.d, grid)
+        for gf in (f, f * f):
+            assert gf.values.dtype == np.float64
+            assert gf.transform_sq.shape[-1] == grid.points_per_axis // 2 + 1
+            for exponent in (0.0, 1.0, 2.5):
+                assert_rel(sobolev_norm(gf, exponent), _norm_from_full_fftn(gf, exponent), 1e-13)
+
+    @pytest.mark.parametrize("grid", [ALL_GRIDS[0], Grid(2, 20.0, 128), Grid(3, 12.0, 32)], ids=str)
+    def test_separable_gaussian_matches_its_dense_samples(self, grid):
+        f = sample_gaussian_trial(2.0, 0.5, grid.d, grid)
+        dense = GridFunction(grid, f.values)
+        scale = (grid.spacing / math.sqrt(2.0 * PI)) ** grid.d
+        expected = np.abs(np.fft.fftn(f.values) * scale) ** 2
+        assert np.max(np.abs(f.transform_sq - expected)) <= 1e-13 * expected.max()
+        (edge, peak), (dense_edge, dense_peak) = f._edge_and_peak, dense._edge_and_peak
+        assert_rel(edge / peak, dense_edge / dense_peak, 1e-14)
+        assert_rel(peak, dense_peak, 1e-14)
+
+    def test_product_of_separable_functions_is_separable(self, grid2):
+        f = sample_gaussian_trial(2.0, 0.5, 2, grid2)
+        g = sample_gaussian_trial(1.0, 0.3, 2, grid2)
+        fg = f * g
+        assert fg.factors is not None and "values" not in vars(fg)
+        assert np.allclose(fg.values, f.values * g.values, rtol=1e-14, atol=0.0)
+        dense = f * GridFunction(grid2, g.values)
+        assert dense.factors is None
+        assert np.array_equal(dense.values, f.values * g.values)
 
 
 class TestDerivativeNormCheck:
@@ -333,15 +392,18 @@ class TestRandomSearch:
 
 
 class TestWorkOnce:
+    VALIDATE_423 = ["oracle", "--n", "4", "--a", "2", "--d", "3", "--mode", "validate", "--format", "json"]
+
     def test_validate_transforms_and_norms_each_function_once(self, monkeypatch):
         # (4, 2, 3): a Gaussian, a Bessel trial and their two squares, 12
         # norm requests over 7 distinct (function, exponent) pairs
-        ffts, requests, evaluated = [], [], []
-        fftn, norm, weighted = np.fft.fftn, oracle.sobolev_norm, oracle._weighted_norm
+        transforms, requests, evaluated = [], [], []
+        transform = GridFunction.transform_sq.func
+        norm, weighted = oracle.sobolev_norm, oracle._weighted_norm
 
-        def fftn_spy(a, *args, **kwargs):
-            ffts.append(a.shape)
-            return fftn(a, *args, **kwargs)
+        def transform_spy(gf):
+            transforms.append(id(gf))
+            return transform(gf)
 
         def norm_spy(gf, n):
             requests.append(n)
@@ -351,12 +413,36 @@ class TestWorkOnce:
             evaluated.append((gf, n))
             return weighted(gf, n)
 
-        monkeypatch.setattr(np.fft, "fftn", fftn_spy)
+        spy = cached_property(transform_spy)
+        spy.__set_name__(GridFunction, "transform_sq")
+        monkeypatch.setattr(GridFunction, "transform_sq", spy)
         monkeypatch.setattr(oracle, "sobolev_norm", norm_spy)
         monkeypatch.setattr(oracle, "_weighted_norm", weighted_spy)
-        argv = ["oracle", "--n", "4", "--a", "2", "--d", "3", "--mode", "validate", "--format", "json"]
-        assert main(argv, out=io.StringIO()) == 0
-        assert len(ffts) == 4
+        assert main(self.VALIDATE_423, out=io.StringIO()) == 0
+        assert len(transforms) == 4 and len(set(transforms)) == 4
         assert len(requests) == 12
         assert len(evaluated) == 7
         assert len({(id(gf), n) for gf, n in evaluated}) == 7
+
+    def test_d3_validate_never_builds_the_gaussian_samples(self, monkeypatch):
+        sampled = []
+        sample = oracle.sample_gaussian_trial
+
+        def sample_spy(*args):
+            sampled.append(sample(*args))
+            return sampled[-1]
+
+        monkeypatch.setattr(oracle, "sample_gaussian_trial", sample_spy)
+        assert main(self.VALIDATE_423, out=io.StringIO()) == 0
+        assert len(sampled) == 1 and sampled[0].factors is not None
+        assert "values" not in vars(sampled[0])
+
+    def test_d3_validate_allocation_peak(self):
+        # 224 MB with complex samples and full complex transforms
+        tracemalloc.start()
+        try:
+            assert main(self.VALIDATE_423, out=io.StringIO()) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 150e6
