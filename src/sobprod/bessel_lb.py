@@ -59,14 +59,15 @@ from functools import lru_cache
 from . import specfun
 from .bounds import _exp_or_inf
 from .errors import DomainError, NonConvergenceError, check_dimension
-from .numerics import integrate_semiline, maximize_scalar
+# integrate_semiline is not called here; the import stays because
+# benchmarks/test_benchmark.py checks that its tracer wraps this by-name copy
+from .numerics import integrate_semiline, maximize_scalar  # noqa: F401
 
 __all__ = [
     "BesselTrial",
     "bessel_norm_n",
     "bessel_norm_a",
     "bessel_square_norm",
-    "square_norm_closed_form",
     "bessel_ratio",
     "bessel_lower",
     "bessel_lower_detail",
@@ -255,14 +256,6 @@ def bessel_square_norm(
     return log_sq if log else _exp_or_inf(log_sq)
 
 
-def _square_norm_direct(lam: float, n: float, d: int, rel_tol: float) -> float:
-    """|f^2|_n^2 as the direct integral, at any n (the reference for the
-    moments at integer n); inf beyond the double range."""
-    from . import bessel_direct
-
-    return _exp_or_inf(bessel_direct.log_square_norm(lam, n, d, rel_tol))
-
-
 @lru_cache(maxsize=16)
 def _log_square_const(n: float, d: int) -> float:
     return 2.0 * (specfun.ln_gamma(2.0 * n - d / 2.0) - specfun.ln_gamma(2.0 * n))
@@ -271,50 +264,6 @@ def _log_square_const(n: float, d: int) -> float:
 def _log_square_prefactor(lam: float, n: float, d: int) -> float:
     """log of 2 pi^(d/2) Gamma(2n - d/2)^2 / (Gamma(d/2) lam^d Gamma(2n)^2)."""
     return math.log(2.0) + _log_norm_prefactor(lam, d) + _log_square_const(n, d)
-
-
-def square_norm_closed_form(trial: BesselTrial) -> float:
-    """Independent closed-form |f^2|_n^2 for the worked cases.
-
-    (n, d) = (1, 1) and (2, 3): the squared trial is itself a rescaled
-    trial, giving rational expressions in lam.  (2, 2): quadrature of the
-    ArcSinh closed form of F(3, 2, 5/2; -s^2) (the hypergeometric series
-    substitutes only below s = 0.05, where the ArcSinh form cancels badly
-    and contributes under 0.1% of the integral).
-    """
-    lam, n, d = trial.lam, trial.n, trial.d
-    pi = math.pi
-    if (n, d) == (1.0, 1):
-        return pi**2 / 4.0 * (2.0 * lam + 1.0 / (2.0 * lam))
-    if (n, d) == (2.0, 3):
-        return pi**3 / 64.0 * (10.0 * lam + 1.0 / lam + 1.0 / (8.0 * lam**3))
-    if (n, d) == (2.0, 2):
-
-        def f_cf(s: float) -> float:
-            if s < 0.05:
-                return specfun.hyp2f1(3.0, 2.0, 2.5, -s * s)
-            s2 = s * s
-            return 3.0 * (2.0 * s2 - 1.0) / (16.0 * s2 * (1.0 + s2) ** 2) + (
-                3.0 * (1.0 + 4.0 * s2) * math.asinh(s)
-            ) / (16.0 * s**3 * (1.0 + s2) ** 2.5)
-
-        lam2_4 = 4.0 * lam * lam
-
-        def integrand(s: float) -> float:
-            if s <= 0.0:
-                return 0.0
-            v = f_cf(s)
-            return s * (1.0 + lam2_4 * s * s) ** 2 * v * v
-
-        coarse = integrate_semiline(integrand, rel_tol=1e-6, upper=50.0)
-        cutoff = _square_tail_cutoff(
-            2.0, 2, 4.0 * math.log(2.0 * lam), math.log(max(coarse.value, 1e-300))
-        )
-        res = integrate_semiline(integrand, rel_tol=1e-10, upper=cutoff)
-        if not res.converged:
-            raise NonConvergenceError("ArcSinh closed-form quadrature did not converge")
-        return 2.0 * pi / (9.0 * lam * lam) * res.value
-    raise DomainError(f"no worked-case closed form for (n, d) = ({n}, {d})")
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ Contents:
   log_binomials       log C(m, j) for j = 0..m, cached per m
   log_sum_exp         log of a sum of exponentials, overflow-safe
   digamma             psi(x) for x > 0 (recurrence + asymptotic series)
-  e_power             E(s) = s^s with E(0) = 1
   hyp2f1              Gauss 2F1 for z < 1, negative z through the Pfaff map,
                       cancelling branches re-summed in decimal
   hyp2f1_rows         hyp2f1_with_error over an array of negative z, each
@@ -39,7 +38,6 @@ __all__ = [
     "log_binomial",
     "log_binomials",
     "log_sum_exp",
-    "e_power",
     "hyp2f1",
     "hyp2f1_rows",
     "digamma",
@@ -116,15 +114,6 @@ def digamma(x: float) -> float:
         - r * (1.0 / 120.0 - r * (1.0 / 252.0 - r * (1.0 / 240.0 - r / 132.0)))
     )
     return math.log(x) - 0.5 / x - series - shift
-
-
-def e_power(s: float) -> float:
-    """E(s) = s^s for s > 0, with the continuous endpoint value E(0) = 1."""
-    if s < 0.0 or math.isnan(s):
-        raise DomainError(f"e_power requires s >= 0, got {s}")
-    if s == 0.0:
-        return 1.0
-    return math.exp(s * math.log(s))
 
 
 # ---------------------------------------------------------------------------

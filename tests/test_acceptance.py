@@ -18,12 +18,11 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from sobprod import bessel_lb, bounds, oracle
+from sobprod import bounds, oracle
 from sobprod.bessel_lb import (
     BesselTrial,
     bessel_lower,
     bessel_norm_a,
-    square_norm_closed_form,
 )
 from sobprod.bounds import BoundQuery, best_bounds, e_const, lattice_coeffs, s_const
 from sobprod.cli import main as cli_main
@@ -37,7 +36,7 @@ from sobprod.oracle import (
 )
 
 from conftest import assert_rel, mp_bessel_norm_sq, rel_err
-from reference_formulas import imbedding_constant
+from reference_formulas import imbedding_constant, square_norm_closed_form, square_norm_direct
 
 PI = math.pi
 
@@ -131,7 +130,7 @@ def test_criterion_4_closed_form_vs_quadrature(mp):
                         q = mp_bessel_norm_sq(mp, lam, a, n, d)
                         assert rel_err(s, q) <= 1e-8, (n, a, d, lam)
         trial = BesselTrial(1.35, 2.0, 2)
-        general = bessel_lb._square_norm_direct(trial.lam, trial.n, trial.d, 1e-9)
+        general = square_norm_direct(trial.lam, trial.n, trial.d, 1e-9)
         closed = square_norm_closed_form(trial)
         assert rel_err(general, closed) <= 1e-7
 

