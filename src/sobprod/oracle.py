@@ -161,7 +161,7 @@ class GridFunction:
         expected = (grid.points_per_axis,) * grid.d
         if vals.shape != expected:
             raise DomainError(f"samples shape {vals.shape} does not match grid {expected}")
-        if not np.all(np.isfinite(vals)):
+        if not np.all(np.isfinite(vals.view(float))):
             raise DomainError("samples must be finite")
         vals.flags.writeable = False
         self.grid = grid
