@@ -1,5 +1,14 @@
-"""The integral of |f^2|_n^2 for the Bessel trial (see bessel_lb): directly
-at non-integer n, through its lam-free moments at integer n.
+"""The integral of |f^2|_n^2 for the Bessel trial (see bessel_lb),
+
+    log int_0^inf s^(d-1) (1 + 4 lam^2 s^2)^n F(2n - d/2, n, n + 1/2; -s^2)^2 ds,
+
+at any n (log_square_integral): through its lam-free moments at integer
+n, directly at other n.
+
+The integral is truncated where an analytic tail bound drops below 1e-12
+of a coarse first pass, at a power of two (_square_tail_cutoff);
+integrands assemble in log space so the (1 + 4 lam^2 s^2)^n growth never
+overflows.
 
 Every lam of a maximization reads the same quadrature rules.  A rule
 (_rule) is a set of GK15 panels of one interval of t = s/(1 + s) -- the
@@ -26,8 +35,6 @@ an integer), F comes from the Pfaff series, summed for all nodes at once
 At integer n the n + 1 lam-free moments of the binomial expansion of
 (1 + 4 lam^2 s^2)^n share the panels of one adaptive pass per (n, d)
 (log_square_moments), with F from the same _log_f.
-
-bessel_lb imports this module on first use, since this module imports it.
 """
 
 from __future__ import annotations
@@ -39,22 +46,55 @@ from typing import NamedTuple
 import numpy as np
 
 from . import specfun
-from .bessel_lb import (
-    _hyp_params,
-    _log_cf_asymptotic,
-    _log_square_prefactor,
-    _square_tail_cutoff,
-)
 from .errors import NonConvergenceError
 from .numerics import gk15_nodes, gk15_panels, integrate_panels
 
-__all__ = ["log_square_norm", "log_square_moments"]
+__all__ = ["log_square_integral", "log_square_moments"]
 
 _U = 2.0**-53  # unit roundoff
 _S_CONNECT = 3.0  # F from the 1/z connection formula from here on
 _F_MAX_TERMS = 600_000  # Pfaff series terms per node below _S_CONNECT
 _SERIES_BLOCK = 32
 _MOMENT_BLOCK = 2**13  # array elements of the moments evaluated at once
+_TAIL_FRACTION = 1e-12  # bound on the truncated tail, relative to the integral
+
+
+def _hyp_params(n: float, d: int) -> tuple[float, float, float]:
+    return 2.0 * n - d / 2.0, n, n + 0.5
+
+
+@lru_cache(maxsize=16)
+def _log_cf_asymptotic(n: float, d: int) -> float:
+    """log of C with F(a, b, c; -s^2) ~ C s^(-2n) for large s (a > b here)."""
+    a, b, c = _hyp_params(n, d)
+    return (
+        specfun.ln_gamma(c)
+        + specfun.ln_gamma(a - b)
+        - specfun.ln_gamma(a)
+        - specfun.ln_gamma(c - b)
+    )
+
+
+def _square_tail_cutoff(
+    n: float, d: int, log_growth: float, log_coarse: float, decay: float
+) -> float:
+    """Truncation point S with analytic tail bound below 1e-12 of the integral.
+
+    The integrand tail is bounded by growth * C^2 * s^(-1 - decay), with
+    decay = 2n - d for the integral at one lam (growth carries the
+    (2 lam)^(2n)-type factor in log form) and 4n - d - 2j for the moment
+    j, so tail(S) = 2 * growth * C^2 * S^(-decay) / decay.  S is rounded
+    up to a power of two (at least 64, clamped to 1e13): any larger S
+    keeps the bound, and lam-free ends let the lam of one maximization
+    share one quadrature rule (see module notes).
+    """
+    log_c2 = 2.0 * _log_cf_asymptotic(n, d)
+    log_target = math.log(_TAIL_FRACTION) + log_coarse
+    log_s = (
+        log_target + math.log(decay) - math.log(2.0) - log_growth - log_c2
+    ) / -decay
+    log2_s = min(max(log_s / math.log(2.0), 6.0), 44.0)
+    return min(2.0 ** math.ceil(log2_s), 1e13)
 
 
 def _ln_gamma_err(x: float) -> float:
@@ -413,21 +453,46 @@ def _rule_integral(
     return res.value, res.converged
 
 
-def log_square_norm(lam: float, n: float, d: int, rel_tol: float) -> float:
-    """log |f^2|_n^2 of the Bessel trial at rescale factor lam as the direct
-    integral, at any n."""
+def _log_direct_integral(
+    lam: float, n: float, d: int, rel_tol: float, log_prefactor: float
+) -> float:
+    """log_prefactor + log of the integral at lam, taken directly on the
+    lam-free rules (at any n)."""
     f_tol = rel_tol * 1e-2
     lmax = _log_peak(n, d, f_tol, lam)
     coarse, _ = _rule_integral(n, d, f_tol, 50.0, 1e-6, lam, lmax)
     cutoff = _square_tail_cutoff(
-        n, d, 2.0 * n * math.log(2.0 * lam), lmax + math.log(max(coarse, 1e-300))
+        n, d, 2.0 * n * math.log(2.0 * lam), lmax + math.log(max(coarse, 1e-300)), 2.0 * n - d
     )
     fine, converged = _rule_integral(n, d, f_tol, cutoff, rel_tol, lam, lmax)
     if not converged:
         raise NonConvergenceError(
             f"square-norm quadrature did not converge (lam={lam}, n={n}, d={d})"
         )
-    return _log_square_prefactor(lam, n, d) + lmax + math.log(fine)
+    return log_prefactor + lmax + math.log(fine)
+
+
+def log_square_integral(
+    lam: float, n: float, d: int, rel_tol: float, log_prefactor: float
+) -> float:
+    """log_prefactor + log int_0^inf s^(d-1) (1 + 4 lam^2 s^2)^n F^2 ds.
+
+    At integer n (specfun.is_near_integer) the integral is the binomial
+    sum over the cached lam-free moments (log_square_moments), at other n
+    the direct integral on the lam-free rules.  log_prefactor, a constant
+    factor of the caller's in logs, is added first: the direct path sums
+    log_prefactor + lmax + log(fine), lmax the scale of the integrand, and
+    another order would move the last bits of every result.
+    """
+    if not specfun.is_near_integer(n):
+        return _log_direct_integral(lam, n, d, rel_tol, log_prefactor)
+    m = int(round(n))
+    log_lam = math.log(4.0 * lam * lam)
+    log_moments = log_square_moments(m, d, rel_tol)
+    lse = specfun.log_sum_exp(
+        [lb + j * log_lam + log_moments[j] for j, lb in enumerate(specfun.log_binomials(m))]
+    )
+    return log_prefactor + lse
 
 
 @lru_cache(maxsize=64)

@@ -31,20 +31,10 @@ The squared trial gives
                 * int_0^inf s^(d-1) (1 + 4 lam^2 s^2)^n
                   F(2n - d/2, n, n + 1/2; -s^2)^2 ds.
 
-The integral is truncated where an analytic tail bound drops below 1e-12
-of a coarse first pass, at a power of two; integrands assemble in log
-space so the (1 + 4 lam^2 s^2)^n growth never overflows.  The norms and
-the ratio stay in logs at every n: at the lam a maximization tries,
-|f^2|_n^2 leaves the double range from about n = 110 on and the H^q
-norms at larger n.
-
-At non-integer n the integral is taken directly, on lam-free quadrature
-rules that every lam of a maximization shares (bessel_direct).
-
-For integer n the lam-dependence factors out of the integral: the
-maximization reuses the n + 1 lam-free moments of the binomial expansion
-of (1 + 4 lam^2 s^2)^n, which share one quadrature rule and read F,
-certified at every node, from the same code (bessel_direct).
+bessel_direct owns the integral: its truncation, its quadrature rules
+and, at integer n, its lam-free moments.  The norms and the ratio stay in
+logs at every n: at the lam a maximization tries, |f^2|_n^2 leaves the
+double range from about n = 110 on and the H^q norms at larger n.
 
 The lower bound maximizes the ratio |f^2|_n / (|f|_a |f|_n) over lam;
 every lam-free log-Gamma term of the norms is cached.
@@ -57,11 +47,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import specfun
-from .bounds import _exp_or_inf
 from .errors import DomainError, NonConvergenceError, check_dimension
 # integrate_semiline is not called here; the import stays because
 # benchmarks/test_benchmark.py checks that its tracer wraps this by-name copy
 from .numerics import integrate_semiline, maximize_scalar  # noqa: F401
+from .specfun import _exp_or_inf
 
 __all__ = [
     "BesselTrial",
@@ -73,7 +63,6 @@ __all__ = [
     "bessel_lower_detail",
 ]
 
-_TAIL_FRACTION = 1e-12
 _NORM_REL_TOL = 1e-12  # certified relative accuracy of |f|_q^2 at non-integer q
 # the Euler-form series needs O(lam^2) terms: at lam = 100 the default 500 000
 # leaves 65-73 of 1000 random (q, n, d) uncertified, 750 000 none
@@ -97,10 +86,6 @@ class BesselTrial:
             raise DomainError(
                 f"trial needs n > d/2 for H^n membership, got n={self.n}, d={self.d}"
             )
-
-
-def _is_integer(x: float) -> bool:
-    return abs(x - round(x)) <= 1e-12 * max(1.0, abs(x))
 
 
 # The lam-free log-Gamma terms below are cached: a maximization evaluates
@@ -143,7 +128,7 @@ def _log_euler_beta(q: float, n: float, d: int) -> float:
 def _log_norm_sq(lam: float, q: float, n: float, d: int) -> float:
     """log |f|_q^2: the Beta sum for integer q, else one Euler-form 2F1 (see
     module notes)."""
-    if _is_integer(q):
+    if specfun.is_near_integer(q):
         log_lam = math.log(lam)
         lse = specfun.log_sum_exp(
             [
@@ -183,48 +168,8 @@ def bessel_norm_a(trial: BesselTrial, a: float, log: bool = False) -> float:
 
 
 # ---------------------------------------------------------------------------
-# |f^2|_n^2 : hypergeometric integrand with analytic tail control
+# |f^2|_n^2
 # ---------------------------------------------------------------------------
-
-
-def _hyp_params(n: float, d: int) -> tuple[float, float, float]:
-    return 2.0 * n - d / 2.0, n, n + 0.5
-
-
-@lru_cache(maxsize=16)
-def _log_cf_asymptotic(n: float, d: int) -> float:
-    """log of C with F(a, b, c; -s^2) ~ C s^(-2n) for large s (a > b here)."""
-    a, b, c = _hyp_params(n, d)
-    return (
-        specfun.ln_gamma(c)
-        + specfun.ln_gamma(a - b)
-        - specfun.ln_gamma(a)
-        - specfun.ln_gamma(c - b)
-    )
-
-
-def _square_tail_cutoff(
-    n: float, d: int, log_growth: float, log_coarse: float, decay: float | None = None
-) -> float:
-    """Truncation point S with analytic tail bound below 1e-12 of the integral.
-
-    The integrand tail is bounded by growth * C^2 * s^(-1 - decay), with
-    decay = 2n - d for |f^2|_n^2 (growth carries the (2 lam)^(2n)-type
-    factor in log form) and 4n - d - 2j for the moment j, so
-    tail(S) = 2 * growth * C^2 * S^(-decay) / decay.  S is rounded up to a
-    power of two (at least 64, clamped to 1e13): any larger S keeps the
-    bound, and lam-free ends let the lam of one maximization share one
-    quadrature rule (see module notes).
-    """
-    if decay is None:
-        decay = 2.0 * n - d
-    log_c2 = 2.0 * _log_cf_asymptotic(n, d)
-    log_target = math.log(_TAIL_FRACTION) + log_coarse
-    log_s = (
-        log_target + math.log(decay) - math.log(2.0) - log_growth - log_c2
-    ) / -decay
-    log2_s = min(max(log_s / math.log(2.0), 6.0), 44.0)
-    return min(2.0 ** math.ceil(log2_s), 1e13)
 
 
 def bessel_square_norm(
@@ -232,27 +177,18 @@ def bessel_square_norm(
 ) -> float:
     """Squared H^n norm of the squared trial function, or its log with log.
 
-    Integer n goes through cached lam-independent moments (the binomial
-    expansion of (1 + 4 lam^2 s^2)^n), other n through the direct
-    integral on lam-free quadrature rules.  The log stays finite where
-    the norm leaves the double range (from about n = 110 on).
+    The integral comes from bessel_direct.log_square_integral.  The log
+    stays finite where the norm leaves the double range (from about
+    n = 110 on).
     """
-    from . import bessel_direct  # deferred: bessel_direct imports this module
+    # deferred for import cost: queries that run no Bessel stage (large n,
+    # the low regime) would otherwise load bessel_direct for nothing
+    from . import bessel_direct
 
     n, d, lam = trial.n, trial.d, trial.lam
-    if _is_integer(n):
-        m = int(round(n))
-        log_lam = math.log(4.0 * lam * lam)
-        log_moments = bessel_direct.log_square_moments(m, d, rel_tol)
-        lse = specfun.log_sum_exp(
-            [
-                lb + j * log_lam + log_moments[j]
-                for j, lb in enumerate(specfun.log_binomials(m))
-            ]
-        )
-        log_sq = _log_square_prefactor(lam, n, d) + lse
-    else:
-        log_sq = bessel_direct.log_square_norm(lam, n, d, rel_tol)
+    log_sq = bessel_direct.log_square_integral(
+        lam, n, d, rel_tol, _log_square_prefactor(lam, n, d)
+    )
     return log_sq if log else _exp_or_inf(log_sq)
 
 

@@ -8,7 +8,9 @@ Conventions: K(n, a, d) is the smallest constant with
     high regime  (n >= a > d/2):        |fg|_n <= K max(|f|_a |g|_n, |f|_n |g|_a)
 
 where |.|_m is the Sobolev H^m norm.  Queries outside both regimes raise
-RegimeError; nothing is proven there.
+RegimeError; nothing is proven there.  The classification itself
+(classify_regime) lives in errors, so that the method modules, which
+bounds imports, can use it too.
 
 The upper bound is S(a, d) times a binomial sum over the N + 1 lattice
 points j n/N (N = ceil(n)).  In the high regime every point of
@@ -22,12 +24,19 @@ with non-negative corrections: O(a) terms in log space, whatever n is.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
-from . import specfun
-from .errors import DomainError, NonConvergenceError, RegimeError, check_dimension
+from . import bessel_lb, fourier_lb, specfun
+from .errors import (
+    DomainError,
+    NonConvergenceError,
+    Regime,
+    RegimeError,
+    check_dimension,
+    classify_regime,
+)
+from .specfun import _exp_or_inf, _xlogx
 
 __all__ = [
     "Regime",
@@ -51,32 +60,6 @@ _LN_16_27 = math.log(16.0) - math.log(27.0)
 # the Bessel method costs ~n quadratures and is exponentially dominated by
 # the Fourier bound well before this cap
 _BESSEL_MAX_N = 150.0
-
-
-def _exp_or_inf(lg: float) -> float:
-    """exp(lg), or inf where that leaves the double range."""
-    return math.exp(lg) if lg < 709.0 else math.inf
-
-
-class Regime(enum.Enum):
-    LOW = "low"
-    HIGH = "high"
-
-
-def classify_regime(n: float, a: float, d: int) -> Regime:
-    """Low iff 0 <= n <= d/2 < a; High iff n >= a > d/2; else RegimeError."""
-    check_dimension(d)
-    if not (math.isfinite(n) and math.isfinite(a)):
-        raise DomainError(f"n and a must be finite numbers, got n={n}, a={a}")
-    half_d = d / 2.0
-    if 0.0 <= n <= half_d < a:
-        return Regime.LOW
-    if n >= a > half_d:
-        return Regime.HIGH
-    raise RegimeError(
-        f"(n={n}, a={a}, d={d}) is in neither regime: "
-        f"need 0 <= n <= d/2 < a or n >= a > d/2"
-    )
 
 
 @dataclass(frozen=True)
@@ -139,13 +122,6 @@ def e_const(ell: float, a: float, d: int) -> float:
         - _xlogx(1.0 - x)
     )
     return math.exp((d / 2.0) * log_ratio)
-
-
-def _xlogx(s: float) -> float:
-    """log E(s) = s log s, continuously 0 at s = 0."""
-    if s < 0.0:
-        raise DomainError(f"E(s) requires s >= 0, got {s}")
-    return 0.0 if s == 0.0 else s * math.log(s)
 
 
 def lattice_coeffs(n: float) -> list[LatticeCoefficient]:
@@ -323,8 +299,6 @@ def best_bounds(query: BoundQuery, rel_tol: float = 1e-8) -> BoundReport:
             log2_lower_over_n=None,
             metadata=meta,
         )
-
-    from . import bessel_lb, fourier_lb  # deferred: those modules import bounds
 
     log_up = log_upper_bound(n, a, d)
     upper = _exp_or_inf(log_up)

@@ -18,9 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bounds import Regime, _exp_or_inf, _xlogx, classify_regime
-from .errors import DomainError, NonConvergenceError, check_dimension
+from .errors import DomainError, NonConvergenceError, Regime, check_dimension, classify_regime
 from .numerics import integrate_semiline
+from .specfun import _exp_or_inf, _xlogx
 
 __all__ = [
     "GaussianTrial",

@@ -13,6 +13,7 @@ Contents:
   log_binomial        log C(m, j) from three ln_gamma values
   log_binomials       log C(m, j) for j = 0..m, cached per m
   log_sum_exp         log of a sum of exponentials, overflow-safe
+  is_near_integer     x within 1e-12 relative of an integer
   digamma             psi(x) for x > 0 (recurrence + asymptotic series)
   hyp2f1              Gauss 2F1 for z < 1, negative z through the Pfaff map,
                       cancelling branches re-summed in decimal
@@ -38,6 +39,7 @@ __all__ = [
     "log_binomial",
     "log_binomials",
     "log_sum_exp",
+    "is_near_integer",
     "hyp2f1",
     "hyp2f1_rows",
     "digamma",
@@ -98,6 +100,24 @@ def log_sum_exp(logs: list[float]) -> float:
     return m + math.log(sum(math.exp(x - m) for x in logs))
 
 
+def _exp_or_inf(lg: float) -> float:
+    """exp(lg), or inf where that leaves the double range."""
+    return math.exp(lg) if lg < 709.0 else math.inf
+
+
+def _xlogx(s: float) -> float:
+    """log E(s) = s log s, continuously 0 at s = 0."""
+    if s < 0.0:
+        raise DomainError(f"E(s) requires s >= 0, got {s}")
+    return 0.0 if s == 0.0 else s * math.log(s)
+
+
+def is_near_integer(x: float) -> bool:
+    """x within 1e-12 relative of an integer, where the integer-order
+    formulas (terminating series, finite sums) take over."""
+    return abs(x - round(x)) <= 1e-12 * max(1.0, abs(x))
+
+
 def digamma(x: float) -> float:
     """psi(x) = Gamma'(x)/Gamma(x) for x > 0: the recurrence psi(x) =
     psi(x + 1) - 1/x up to x >= 20, then the asymptotic series, whose
@@ -128,12 +148,9 @@ _ROUNDOFF = 32.0 * _EPS  # float roundoff estimate per unit of sum|t_k|
 
 def _pochhammer_terminates(x: float) -> int | None:
     """Return m >= 0 if (x)_k vanishes for all k > m (x a non-positive integer)."""
-    if x > 0.0:
+    if x > 0.0 or not is_near_integer(x):
         return None
-    r = round(x)
-    if abs(x - r) <= 1e-12 * max(1.0, abs(x)):
-        return int(-r)
-    return None
+    return int(-round(x))
 
 
 def _hyp_series(

@@ -14,12 +14,12 @@ square_norm_closed_form  the squared Bessel trial's norm in closed form for the
 
 import math
 
-from sobprod import bessel_direct, specfun
-from sobprod.bessel_lb import BesselTrial, _square_tail_cutoff
-from sobprod.bounds import _exp_or_inf
+from sobprod import specfun
+from sobprod.bessel_direct import _log_direct_integral, _square_tail_cutoff
+from sobprod.bessel_lb import BesselTrial, _log_square_prefactor
 from sobprod.errors import DomainError, NonConvergenceError, check_dimension
 from sobprod.numerics import integrate_semiline
-from sobprod.specfun import ln_gamma
+from sobprod.specfun import _exp_or_inf, ln_gamma
 
 
 def e_power(s: float) -> float:
@@ -89,7 +89,7 @@ def v_general(mu: float, n: float, a: float, d: int) -> float:
 def square_norm_direct(lam: float, n: float, d: int, rel_tol: float) -> float:
     """|f^2|_n^2 as the direct integral, at any n (the reference for the
     moments at integer n); inf beyond the double range."""
-    return _exp_or_inf(bessel_direct.log_square_norm(lam, n, d, rel_tol))
+    return _exp_or_inf(_log_direct_integral(lam, n, d, rel_tol, _log_square_prefactor(lam, n, d)))
 
 
 def square_norm_closed_form(trial: BesselTrial) -> float:
@@ -127,7 +127,7 @@ def square_norm_closed_form(trial: BesselTrial) -> float:
 
         coarse = integrate_semiline(integrand, rel_tol=1e-6, upper=50.0)
         cutoff = _square_tail_cutoff(
-            2.0, 2, 4.0 * math.log(2.0 * lam), math.log(max(coarse.value, 1e-300))
+            2.0, 2, 4.0 * math.log(2.0 * lam), math.log(max(coarse.value, 1e-300)), 2.0
         )
         res = integrate_semiline(integrand, rel_tol=1e-10, upper=cutoff)
         if not res.converged:

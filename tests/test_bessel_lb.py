@@ -192,6 +192,17 @@ class TestSquareNorm:
             slow = square_norm_direct(lam, n, d, 1e-9)
             assert_rel(fast, slow, 1e-8, f"moments vs direct ({lam},{n},{d})")
 
+    def test_near_integer_n_takes_the_moment_path(self, monkeypatch):
+        # n within 1e-12 relative of an integer counts as that integer: the
+        # moments serve it and no direct-integral rule is built
+        exact = bessel_square_norm(BesselTrial(1.5, 3.0, 2))
+        rules = []
+        real = bessel_direct._rule
+        monkeypatch.setattr(bessel_direct, "_rule", lambda *args: rules.append(args) or real(*args))
+        near = bessel_square_norm(BesselTrial(1.5, 3.0 + 1e-13, 2))
+        assert_rel(near, exact, 1e-12)
+        assert not rules
+
     def test_rational_reduction_d1_n1(self):
         # F(3/2, 1, 3/2; -s^2) = (1 + s^2)^(-1) exactly
         for s in [0.3, 1.0, 5.0, 20.0]:
