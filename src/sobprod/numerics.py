@@ -83,44 +83,8 @@ class MaximizerResult:
     warnings: tuple[str, ...] = field(default_factory=tuple)
 
 
-def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    """One Gauss-Kronrod 7-15 panel; returns (kronrod_value, error_estimate).
-
-    The error estimate follows QUADPACK dqk15: the raw |K15 - G7|
-    difference is rescaled against the panel's total variation proxy
-    resasc, which keeps the estimate honest next to (near-)singular
-    behaviour.
-    """
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    vals = [0.0] * 15  # [center, minus_0..minus_6, plus_0..plus_6]
-    vals[0] = f(mid)
-    gauss = _WG[3] * vals[0]
-    kron = _WGK[7] * vals[0]
-    for i in range(7):
-        x = half * _XGK[i]
-        f1 = f(mid - x)
-        f2 = f(mid + x)
-        vals[1 + i] = f1
-        vals[8 + i] = f2
-        kron += _WGK[i] * (f1 + f2)
-        if i % 2 == 1:  # Kronrod nodes 1,3,5 are the Gauss-7 nodes
-            gauss += _WG[i // 2] * (f1 + f2)
-    reskh = 0.5 * kron
-    resasc = _WGK[7] * abs(vals[0] - reskh)
-    for i in range(7):
-        resasc += _WGK[i] * (abs(vals[1 + i] - reskh) + abs(vals[8 + i] - reskh))
-    kron *= half
-    gauss *= half
-    resasc *= abs(half)
-    err = abs(kron - gauss)
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    return kron, max(err, 5e-16 * abs(kron))
-
-
-# _gk15's 15 nodes in its order (centre, minus side, plus side) with their
-# Kronrod and Gauss-7 weights, for panels evaluated as one array
+# the 15 nodes (centre, minus side, plus side) with their Kronrod and
+# Gauss-7 weights, for panels evaluated as one array
 _X15 = np.array([0.0, *(-x for x in _XGK[:7]), *_XGK[:7]])
 _WK15 = np.array([_WGK[7], *_WGK[:7], *_WGK[:7]])
 _WG15 = np.array(
@@ -136,9 +100,12 @@ def gk15_nodes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 def gk15_panels(
     vals: np.ndarray, lo: np.ndarray, hi: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """_gk15 for many panels at once, from the integrand at gk15_nodes.
+    """One Gauss-Kronrod 7-15 rule per panel, from the integrand at gk15_nodes.
 
-    Returns (kronrod_values, error_estimates) with _gk15's error model.
+    Returns (kronrod_values, error_estimates).  The error estimate follows
+    QUADPACK dqk15: the raw |K15 - G7| difference is rescaled against the
+    panel's total variation proxy resasc, which keeps the estimate honest
+    next to (near-)singular behaviour.
     """
     half = 0.5 * (hi - lo)
     kron_raw = (vals * _WK15).sum(axis=1)
@@ -257,13 +224,16 @@ def integrate_semiline(
         return f(s) / (om * om)
 
     def panel(ends: list[tuple[float, float]]) -> list[tuple[float, float]]:
-        return [_gk15(g, lo, hi) for lo, hi in ends]
+        lo, hi = np.array(ends).T
+        vals = np.array([[g(t) for t in row] for row in gk15_nodes(lo, hi).tolist()])
+        return list(zip(*(v.tolist() for v in gk15_panels(vals, lo, hi))))
 
-    first = (0.0, t_hi, *_gk15(g, 0.0, t_hi))
+    first = (0.0, t_hi, *panel([(0.0, t_hi)])[0])
     return integrate_panels(panel, [first], rel_tol, max_intervals)[0]
 
 
 _CGOLD = 0.5 * (3.0 - math.sqrt(5.0))  # golden-section fraction of Brent's method
+_SCAN_POINTS = 33  # log-spaced points of the maximizer's first scan
 
 
 def _brent(
@@ -334,12 +304,11 @@ def maximize_scalar(
     f: Callable[[float], float],
     initial_bracket: tuple[float, float],
     rel_tol: float = 1e-8,
-    scan_points: int = 33,
     max_expansions: int = 60,
 ) -> MaximizerResult:
     """Maximize a scalar objective on (0, inf) near the given bracket.
 
-    f is scanned on scan_points log-spaced points from lo to hi.  While
+    f is scanned on _SCAN_POINTS log-spaced points from lo to hi.  While
     the best scan point is an end of the scan, the scan is extended past
     that end by the next points of the same log lattice, enough to double
     hi or halve lo (a coarser lattice extends a bracket narrower than a
@@ -354,14 +323,14 @@ def maximize_scalar(
         raise DomainError(f"need 0 < lo < hi, got {initial_bracket}")
     warnings: list[str] = []
 
-    ratio = (hi / lo) ** (1.0 / (scan_points - 1))
-    xs = [lo * ratio**i for i in range(scan_points)]
+    ratio = (hi / lo) ** (1.0 / (_SCAN_POINTS - 1))
+    xs = [lo * ratio**i for i in range(_SCAN_POINTS)]
     xs[-1] = hi
     ys = [f(x) for x in xs]
-    # an expansion steps by the scan's ratio, or by 2^(1/(scan_points - 1))
+    # an expansion steps by the scan's ratio, or by 2^(1/(_SCAN_POINTS - 1))
     # from a bracket narrower than a factor 2, so that doubling hi or halving
-    # lo takes at most scan_points - 1 new points
-    grow = max(ratio, 2.0 ** (1.0 / (scan_points - 1)))
+    # lo takes at most _SCAN_POINTS - 1 new points
+    grow = max(ratio, 2.0 ** (1.0 / (_SCAN_POINTS - 1)))
     step = math.ceil(math.log(2.0) / math.log(grow))
 
     def best_index() -> int:

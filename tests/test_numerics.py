@@ -59,17 +59,21 @@ class TestIntegrateSemiline:
         assert res.converged
         assert res.abs_error_estimate <= 1e-10 * max(1.0, abs(res.value))
 
-    def test_array_panels_match_scalar_panels(self):
-        # the scalar _gk15 is the reference; the array form sums in another
-        # order, so values agree to a few ulp
+    def test_array_panels_exact_on_polynomials(self):
+        # the Kronrod rule integrates degree <= 22 exactly and its Gauss-7
+        # part degree <= 13: the error estimate sits at its 5e-16 floor for
+        # degree 1 to 13 and above it from degree 14 on (a constant is left
+        # out: its resasc is rounding noise)
         lo = np.array([0.0, 0.3, 0.9, 2.0])
         hi = np.array([0.3, 0.9, 2.0, 7.5])
-        f = lambda t: np.exp(-t) * np.sin(3.0 * t) ** 2 + 1.0 / (1.0 + t)
-        kron, err = numerics.gk15_panels(f(numerics.gk15_nodes(lo, hi)), lo, hi)
-        for i in range(len(lo)):
-            ref_k, ref_e = numerics._gk15(lambda t: float(f(t)), lo[i], hi[i])
-            assert_rel(kron[i], ref_k, 1e-14)
-            assert_rel(err[i], ref_e, 1e-6)
+        t = numerics.gk15_nodes(lo, hi)
+        for k in (1, 5, 13, 14, 22):
+            kron, err = numerics.gk15_panels(t**k, lo, hi)
+            exact = (hi ** (k + 1) - lo ** (k + 1)) / (k + 1)
+            for i in range(len(lo)):
+                assert_rel(kron[i], exact[i], 1e-13, f"degree {k}, panel {i}")
+            floor = 5e-16 * np.abs(kron)
+            assert np.all(err == floor) if k <= 13 else np.all(err > floor)
 
     def test_batched_panels_from_a_panel_set(self):
         # starting from four panels and bisecting a level per call gives the
