@@ -484,13 +484,13 @@ def random_search_lower(
     best_ratio = -math.inf
     best_desc: dict = {}
 
-    def consider(f: GridFunction, g: GridFunction, desc: dict) -> bool:
+    def consider(f: GridFunction, desc: dict) -> bool:
         nonlocal evals, best_ratio, best_desc
         if evals >= budget:
             return False
         evals += 1
         try:
-            r = product_ratio(f, g, n, a)
+            r = product_ratio(f, f, n, a)
         except (DecayError, DomainError):
             return False
         if r > best_ratio:
@@ -500,37 +500,37 @@ def random_search_lower(
         return False
 
     # analytic witnesses first
-    state: tuple[GridFunction, GridFunction] | None = None
+    state: GridFunction | None = None
     if regime is Regime.HIGH and n > d / 2.0:
         for lam in (1.3, 1.5):
             w = sample_bessel_trial(lam, n, d, grid)
-            if consider(w, w, {"kind": "bessel_witness", "lam": lam, "n": n, "d": d}):
-                state = (w, w)
+            if consider(w, {"kind": "bessel_witness", "lam": lam, "n": n, "d": d}):
+                state = w
     try:
         p0 = math.sqrt(max(n + a, 2.0))
         sigma0 = max(50.0 / grid.half_width**2, 1.0 / (n + a))
         w = sample_gaussian_trial(p0, sigma0, d, grid)
-        if consider(w, w, {"kind": "gaussian_witness", "p": p0, "sigma": sigma0}):
-            state = (w, w)
+        if consider(w, {"kind": "gaussian_witness", "p": p0, "sigma": sigma0}):
+            state = w
     except ResolutionError:
         pass
 
+    k_norm = np.sqrt(grid.k_squared)
+    hat_of, hat = None, None  # the last base transformed, and its transform
     while evals < budget:
         cand = _random_candidate(rng, grid)
-        seeded = consider(cand, cand, {"kind": "random", "seed": seed, "eval": evals})
-        base = (cand, cand) if seeded or state is None else state
-        # local coordinate refinement: rescale one spectral shell of f
+        seeded = consider(cand, {"kind": "random", "seed": seed, "eval": evals})
+        base = cand if seeded or state is None else state
+        # local coordinate refinement: rescale one spectral shell of base
         for _ in range(min(10, budget - evals)):
-            f, g = base
             shell = float(rng.uniform(0.2, 3.0))
             gain = float(rng.uniform(0.7, 1.4))
-            fhat = np.fft.fftn(f.values)
-            mask = np.abs(np.sqrt(f.grid.k_squared) - shell) < 0.5
-            fhat = np.where(mask, fhat * gain, fhat)
-            newf = GridFunction(f.grid, np.fft.ifftn(fhat))
-            if consider(newf, newf, {"kind": "hillclimb", "seed": seed, "eval": evals}):
-                base = (newf, newf)
-                state = base
+            if base is not hat_of:
+                hat_of, hat = base, np.fft.fftn(base.values)
+            mask = np.abs(k_norm - shell) < 0.5
+            newf = GridFunction(grid, np.fft.ifftn(np.where(mask, hat * gain, hat)))
+            if consider(newf, {"kind": "hillclimb", "seed": seed, "eval": evals}):
+                base = state = newf
         if state is None:
             state = base
 

@@ -1,6 +1,7 @@
 import io
 import math
 import re
+import sys
 import tracemalloc
 from functools import cached_property
 
@@ -389,6 +390,34 @@ class TestRandomSearch:
     def test_dimension_guard(self):
         with pytest.raises(DomainError):
             random_search_lower(2.0, 2.0, 3, budget=10, seed=0)
+
+    @pytest.mark.parametrize(
+        "n,a,d,budget,seed,grid,bases,best",
+        [
+            # every step climbs from the Bessel witness
+            (3.0, 2.0, 2, 45, 7, None, 1, 0.44880674766226136),
+            # the climb starts from four random candidates in turn
+            (1.0, 2.0, 2, 40, 2, Grid(2, 8.0, 32), 4, 0.12649393650665433),
+        ],
+    )
+    def test_hill_climb_transforms_each_base_once(
+        self, monkeypatch, n, a, d, budget, seed, grid, bases, best
+    ):
+        # a hill-climb step rescales a shell of its base's transform, taken
+        # once per base rather than once per step; best is pinned bit for bit
+        real = np.fft.fftn
+        transformed = []  # held, so their ids stay distinct
+
+        def counting(x, *args, **kwargs):
+            if sys._getframe(1).f_code is random_search_lower.__code__:
+                transformed.append(x)
+            return real(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fftn", counting)
+        got, _ = random_search_lower(n, a, d, budget=budget, seed=seed, grid=grid)
+        assert len(transformed) == bases
+        assert len({id(x) for x in transformed}) == bases
+        assert got == best
 
 
 class TestWorkOnce:
